@@ -5,7 +5,15 @@
     target is re-randomized (PO), accumulated eliminations become worthless
     and the attacker starts over; this is exactly the sampling
     with/without replacement distinction the paper's models rest on. The
-    attacker detects re-randomization by the target's epoch. *)
+    attacker detects re-randomization by the target's epoch.
+
+    Cost: {!create}, {!on_target_rekeyed} and the accessors are O(1) and
+    allocate nothing proportional to chi — campaigns and the probe-level
+    Monte-Carlo build or void a knowledge record on every re-randomization.
+    {!next_guess} and {!observe_crash} cost O(1) expected while at most
+    chi/16 keys are eliminated; the first call past that point builds a
+    per-key bitmap and a Fenwick tree in O(chi), after which each costs
+    O(log chi). *)
 
 type t
 
@@ -28,13 +36,23 @@ val next_guess : t -> Fortress_util.Prng.t -> int option
     exhausted. Against an unfaulted live target this cannot happen (the
     last remaining key is the key), but under fault injection a target can
     change keys without the attacker noticing, so campaigns must treat
-    exhaustion as a graceful outcome. *)
+    exhaustion as a graceful outcome.
+
+    The draws are those of a plain scan of the key space: while more than
+    half the keys are untried, [Prng.int ~bound:chi] is drawn until it hits
+    an untried key; otherwise a single [Prng.int ~bound:(remaining t)] draw
+    [j] picks the [j]-th untried key in ascending order. The same generator
+    state therefore yields the same guess and leaves the same state behind,
+    whatever the internal representation. *)
 
 val observe_crash : t -> guess:int -> unit
-(** The probe [guess] crashed the child: that key is ruled out. *)
+(** The probe [guess] crashed the child: that key is ruled out. Ruling out
+    a key twice counts once. Raises [Invalid_argument] unless [guess] is in
+    the key space [0, chi). *)
 
 val observe_intrusion : t -> guess:int -> unit
-(** The probe succeeded: the key is confirmed. *)
+(** The probe succeeded: the key is confirmed. Raises [Invalid_argument]
+    unless [guess] is in the key space [0, chi). *)
 
 val on_target_rekeyed : t -> unit
 (** The target re-randomized: all eliminations and any confirmed key are

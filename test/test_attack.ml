@@ -70,6 +70,185 @@ let test_knowledge_dense_tail () =
   let g1 = Option.get (Knowledge.next_guess k prng) in
   Alcotest.(check bool) "one of the remaining two" true (g1 = 8 || g1 = 9)
 
+(* Out-of-range guesses used to count as eliminations: on chi=3, crashing
+   on 5 then on 0 and 1 exhausted the attacker with key 2 untried. *)
+let test_knowledge_rejects_out_of_range () =
+  let k = Knowledge.create (Keyspace.of_size 3) in
+  let raises name f =
+    Alcotest.(check bool) name true
+      (match f () with () -> false | exception Invalid_argument _ -> true)
+  in
+  List.iter
+    (fun g ->
+      raises (Printf.sprintf "crash on %d" g) (fun () -> Knowledge.observe_crash k ~guess:g);
+      raises (Printf.sprintf "intrusion on %d" g) (fun () ->
+          Knowledge.observe_intrusion k ~guess:g))
+    [ 5; 3; -1 ];
+  Alcotest.(check int) "nothing eliminated" 0 (Knowledge.eliminated k);
+  Alcotest.(check bool) "no key confirmed" true (Knowledge.known_key k = None);
+  Knowledge.observe_crash k ~guess:0;
+  Knowledge.observe_crash k ~guess:1;
+  Alcotest.(check (option int)) "the last key is still guessed" (Some 2)
+    (Knowledge.next_guess k (Prng.create ~seed:1))
+
+(* Every key exactly once at the paper's chi = 2^16, twice over with a
+   rekey in between. Milliseconds with an O(log chi) sampler; minutes if it
+   goes back to scanning the key space per guess. *)
+let test_knowledge_exhaustive_sweep () =
+  let chi = 1 lsl 16 in
+  let k = Knowledge.create (Keyspace.of_size chi) in
+  let prng = Prng.create ~seed:16 in
+  let sweep round =
+    Alcotest.(check int) (round ^ ": clean state") 0 (Knowledge.eliminated k);
+    Alcotest.(check int) (round ^ ": all remaining") chi (Knowledge.remaining k);
+    let seen = Bytes.make chi '\000' in
+    for _ = 1 to chi do
+      match Knowledge.next_guess k prng with
+      | None -> Alcotest.fail (round ^ ": exhausted early")
+      | Some g ->
+          if Bytes.get seen g <> '\000' then
+            Alcotest.fail (Printf.sprintf "%s: key %d guessed twice" round g);
+          Bytes.set seen g '\001';
+          Knowledge.observe_crash k ~guess:g
+    done;
+    Alcotest.(check int) (round ^ ": none remaining") 0 (Knowledge.remaining k);
+    Alcotest.(check int) (round ^ ": all eliminated") chi (Knowledge.eliminated k);
+    Alcotest.(check (option int)) (round ^ ": exhausted") None (Knowledge.next_guess k prng)
+  in
+  sweep "first sweep";
+  Knowledge.on_target_rekeyed k;
+  sweep "after rekey"
+
+(* The sampler as it was first written: a hash set of tried keys and an
+   O(chi) walk to the j-th untried key. Kept as the oracle the current
+   sampler must match draw for draw. *)
+module Scan_knowledge = struct
+  type t = { n : int; mutable tried : (int, unit) Hashtbl.t; mutable key : int option }
+
+  let create n = { n; tried = Hashtbl.create 64; key = None }
+  let eliminated t = Hashtbl.length t.tried
+  let remaining t = t.n - eliminated t
+
+  let next_guess t prng =
+    match t.key with
+    | Some k -> Some k
+    | None ->
+        let left = remaining t in
+        if left <= 0 then None
+        else if left > t.n / 2 then begin
+          let rec draw () =
+            let g = Prng.int prng ~bound:t.n in
+            if Hashtbl.mem t.tried g then draw () else g
+          in
+          Some (draw ())
+        end
+        else begin
+          let j = ref (Prng.int prng ~bound:left) in
+          let result = ref (-1) in
+          (try
+             for g = 0 to t.n - 1 do
+               if not (Hashtbl.mem t.tried g) then begin
+                 if !j = 0 then begin
+                   result := g;
+                   raise Exit
+                 end;
+                 decr j
+               end
+             done
+           with Exit -> ());
+          Some !result
+        end
+
+  let observe_crash t ~guess = Hashtbl.replace t.tried guess ()
+  let observe_intrusion t ~guess = t.key <- Some guess
+
+  let on_target_rekeyed t =
+    t.tried <- Hashtbl.create 64;
+    t.key <- None
+end
+
+type knowledge_op =
+  | Probe_crash of int  (** that many rounds of guess, then crash on it *)
+  | Guess_only
+  | Crash_on of int  (** any key, tried or not *)
+  | Intrude_on of int
+  | Rekey
+  | Recover
+
+let pp_knowledge_op = function
+  | Probe_crash m -> Printf.sprintf "probe-crash x%d" m
+  | Guess_only -> "guess"
+  | Crash_on g -> Printf.sprintf "crash %d" g
+  | Intrude_on g -> Printf.sprintf "intrude %d" g
+  | Rekey -> "rekey"
+  | Recover -> "recover"
+
+let knowledge_case =
+  let open QCheck.Gen in
+  let gen =
+    int_range 2 600 >>= fun chi ->
+    let key = int_bound (chi - 1) in
+    let op =
+      frequency
+        [
+          (6, map (fun m -> Probe_crash m) (int_bound chi));
+          (2, return Guess_only);
+          (3, map (fun g -> Crash_on g) key);
+          (1, map (fun g -> Intrude_on g) key);
+          (2, return Rekey);
+          (1, return Recover);
+        ]
+    in
+    triple (return chi) (int_bound 1_000_000) (list_size (int_range 1 12) op)
+  in
+  QCheck.make gen ~print:(fun (chi, seed, ops) ->
+      Printf.sprintf "chi=%d seed=%d [%s]" chi seed
+        (String.concat "; " (List.map pp_knowledge_op ops)))
+
+let prop_knowledge_matches_scan =
+  QCheck.Test.make ~count:300 ~name:"same guesses and draws as the O(chi) scan" knowledge_case
+    (fun (chi, seed, ops) ->
+      let k = Knowledge.create (Keyspace.of_size chi) and r = Scan_knowledge.create chi in
+      let pk = Prng.create ~seed and pr = Prng.create ~seed in
+      let agree () =
+        Knowledge.eliminated k = Scan_knowledge.eliminated r
+        && Knowledge.remaining k = Scan_knowledge.remaining r
+      in
+      let guess () =
+        let g = Knowledge.next_guess k pk in
+        if g <> Scan_knowledge.next_guess r pr then
+          QCheck.Test.fail_reportf "guesses differ after %d eliminations"
+            (Scan_knowledge.eliminated r);
+        g
+      in
+      let step = function
+        | Probe_crash m ->
+            for _ = 1 to m do
+              match guess () with
+              | Some g ->
+                  Knowledge.observe_crash k ~guess:g;
+                  Scan_knowledge.observe_crash r ~guess:g
+              | None -> ()
+            done
+        | Guess_only -> ignore (guess ())
+        | Crash_on g ->
+            Knowledge.observe_crash k ~guess:g;
+            Scan_knowledge.observe_crash r ~guess:g
+        | Intrude_on g ->
+            Knowledge.observe_intrusion k ~guess:g;
+            Scan_knowledge.observe_intrusion r ~guess:g
+        | Rekey ->
+            Knowledge.on_target_rekeyed k;
+            Scan_knowledge.on_target_rekeyed r
+        | Recover -> Knowledge.on_target_recovered k
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          agree ())
+        ops
+      && Prng.bits64 pk = Prng.bits64 pr)
+
 (* ---- Derandomizer against the forking daemon ---- *)
 
 let run_attack ~keys ~seed =
@@ -411,6 +590,10 @@ let () =
           Alcotest.test_case "exhaustion graceful" `Quick test_knowledge_exhaustion_graceful;
           Alcotest.test_case "confirmed key semantics" `Quick test_knowledge_confirmed_key_sticks;
           Alcotest.test_case "dense tail sampling" `Quick test_knowledge_dense_tail;
+          Alcotest.test_case "rejects out-of-range guesses" `Quick
+            test_knowledge_rejects_out_of_range;
+          Alcotest.test_case "exhaustive sweep at chi=2^16" `Quick test_knowledge_exhaustive_sweep;
+          QCheck_alcotest.to_alcotest prop_knowledge_matches_scan;
         ] );
       ( "derandomizer",
         [

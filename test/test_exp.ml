@@ -163,6 +163,13 @@ let test_ablation_entropy_table () =
   let t = Ablations.entropy_table ~chis:[ 256; 1024 ] ~omega:8 ~trials:40 () in
   Alcotest.(check int) "two rows" 2 (Table.row_count t)
 
+(* The bench's A2 byte-identity gate: the committed probe-level table at
+   100 trials, rendered and digested exactly as bench/main.ml does. *)
+let test_ablation_entropy_digest () =
+  let rendered = Table.render (Ablations.entropy_table ~trials:100 ~jobs:1 ()) in
+  Alcotest.(check string) "A2 digest" "36332ece1ea6a53d"
+    (Fortress_obs.Sink.digest_lines [ rendered ])
+
 let test_ablation_launchpad_table () =
   let t = Ablations.launchpad_table () in
   (* 7 kappa rows plus the crossover row *)
@@ -454,6 +461,7 @@ let () =
           Alcotest.test_case "np table" `Quick test_ablation_np_monotone;
           Alcotest.test_case "np monotone" `Quick test_ablation_np_values_monotone;
           Alcotest.test_case "entropy table" `Slow test_ablation_entropy_table;
+          Alcotest.test_case "entropy table digest" `Quick test_ablation_entropy_digest;
           Alcotest.test_case "launchpad table" `Quick test_ablation_launchpad_table;
           Alcotest.test_case "detection table" `Quick test_ablation_detection_table;
           Alcotest.test_case "limited diversity interpolates" `Slow
