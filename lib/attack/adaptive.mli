@@ -1,4 +1,5 @@
-(** The adaptive attacker: an observe–decide–act loop over {!Campaign}.
+(** The adaptive attacker: an observe–decide–act loop over either
+    campaign ({!Campaign_intf.Adaptable}).
 
     Each step boundary the campaign hands the strategy one
     {!Observation.t} assembled from attacker-plausible signals only (probe
@@ -52,34 +53,31 @@ module Strategy : sig
   val find : string -> t option
 end
 
-type config = { campaign : Campaign.config; strategy : Strategy.t }
+type 'cfg config = { campaign : 'cfg; strategy : Strategy.t }
 
-val make_config : ?strategy:Strategy.t -> Campaign.config -> config
+val make_config : ?strategy:Strategy.t -> 'cfg -> 'cfg config
 (** Default strategy: {!Strategy.oblivious}. *)
 
-type t
+type 'c t
+(** The wrapper around a running campaign of type ['c]. *)
 
-val launch : Fortress_core.Deployment.t -> config -> t
-val run_until_compromise : t -> max_steps:int -> int option
-val stats : t -> Campaign_intf.Stats.t
-val strategy : t -> Strategy.t
-
-val campaign : t -> Campaign.t
-(** The wrapped campaign, e.g. for {!Campaign.settings} introspection. *)
-
-(** The same wrapper over the 1-tier SMR campaign (S0). Only the
-    exclusion field of a directive acts there, so
-    {!Strategy.partition_follower} is the interesting strategy; the
+val launch :
+  (module Campaign_intf.Adaptable
+     with type t = 'c
+      and type deployment = 'd
+      and type config = 'cfg) ->
+  'd ->
+  'cfg config ->
+  'c t
+(** Launch the campaign and hand every boundary observation to the
+    strategy; one body serves {!Campaign} (S1/S2) and {!Smr_campaign}
+    (S0). On S0 only the exclusion field of a directive acts, so
+    {!Strategy.partition_follower} is the interesting strategy there; the
     others degrade gracefully to oblivious behaviour. *)
-module Smr : sig
-  type config = { campaign : Smr_campaign.config; strategy : Strategy.t }
 
-  val make_config : ?strategy:Strategy.t -> Smr_campaign.config -> config
+val run_until_compromise : 'c t -> max_steps:int -> int option
+val stats : 'c t -> Campaign_intf.Stats.t
+val strategy : 'c t -> Strategy.t
 
-  type t
-
-  val launch : Fortress_core.Smr_deployment.t -> config -> t
-  val run_until_compromise : t -> max_steps:int -> int option
-  val stats : t -> Campaign_intf.Stats.t
-  val campaign : t -> Smr_campaign.t
-end
+val campaign : 'c t -> 'c
+(** The wrapped campaign, e.g. for {!Campaign.settings} introspection. *)

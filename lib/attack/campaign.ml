@@ -64,6 +64,8 @@ type settings = {
   mutable excluded : bool array;  (** per-proxy target-set exclusion *)
 }
 
+type deployment = Deployment.t
+
 type t = {
   deployment : Deployment.t;
   cfg : config;
@@ -72,9 +74,8 @@ type t = {
   server_track : tracked;  (** servers share one key, so one knowledge pool *)
   proxy_fell_at : int option array;  (** step at which each proxy fell *)
   eff : settings;
-  mutable staged : Directive.t option;
+  staging : Directive.t Fortress_sim.Staging.t;
   mutable boundary_hook : (Observation.t -> unit) option;
-  mutable strategy_name : string;
   mutable observing : bool;  (** sample the symptom surface during steps *)
   unreach_seen : bool array;  (** per-proxy timeout symptoms this step *)
   mutable source : Address.t;
@@ -88,7 +89,6 @@ type t = {
   mutable intrusions : int;
   mutable exhausted_slots : int;  (** probe slots skipped for want of untried keys *)
   mutable server_probes : int;  (** probe attempts against the server tier *)
-  mutable directives_applied : int;
   mutable rr : int;  (** round-robin proxy cursor for indirect probes *)
   mutable redirect : int;  (** cursor for re-targeting excluded proxies' slots *)
   (* per-step counter marks, snapshotted at each boundary *)
@@ -136,9 +136,10 @@ let make deployment cfg =
           launchpad = cfg.launchpad;
           excluded = Array.make (max np 1) false;
         };
-      staged = None;
+      staging =
+        Fortress_sim.Staging.create (Deployment.engine deployment) ~label:"manual"
+          ~unchanged:Directive.unchanged ~merge:Directive.merge;
       boundary_hook = None;
-      strategy_name = "";
       observing = false;
       unreach_seen = Array.make (max np 1) false;
       source = Address.make 0;
@@ -152,7 +153,6 @@ let make deployment cfg =
       intrusions = 0;
       exhausted_slots = 0;
       server_probes = 0;
-      directives_applied = 0;
       rr = 0;
       redirect = 0;
       m_direct = 0;
@@ -380,30 +380,11 @@ let indirect_probe_slot t =
 
 (* ---- observe / decide / act plumbing ---- *)
 
-let stage t directive =
-  if not (Directive.is_unchanged directive) then
-    t.staged <-
-      Some
-        (match t.staged with
-        | None -> directive
-        | Some prev ->
-            (* later stages win field-wise within the same step *)
-            {
-              Directive.kappa =
-                (match directive.Directive.kappa with Some _ as k -> k | None -> prev.Directive.kappa);
-              exclude =
-                (match directive.Directive.exclude with Some _ as e -> e | None -> prev.Directive.exclude);
-              pacing =
-                (match directive.Directive.pacing with Some _ as p -> p | None -> prev.Directive.pacing);
-              launchpad =
-                (match directive.Directive.launchpad with
-                | Some _ as l -> l
-                | None -> prev.Directive.launchpad);
-            })
+let stage t directive = Fortress_sim.Staging.stage t.staging directive
 
 let set_boundary_hook t ~name hook =
   t.boundary_hook <- Some hook;
-  t.strategy_name <- name;
+  if name <> "" then Fortress_sim.Staging.set_label t.staging name;
   t.observing <- true
 
 (* Assemble what the attacker saw during the step that just completed.
@@ -451,72 +432,38 @@ let reset_step_marks t =
   Array.fill t.unreach_seen 0 (Array.length t.unreach_seen) false
 
 (* Fold the staged directive (if any) into the live settings. Runs only at
-   step boundaries; emits one Directive event when — and only when — a
-   setting actually moved. *)
+   step boundaries. *)
 let apply_staged t =
-  match t.staged with
-  | None -> ()
-  | Some d ->
-      t.staged <- None;
+  Fortress_sim.Staging.apply t.staging ~step:t.current_step (fun d ->
+      let move = Fortress_sim.Staging.move in
+      let kappa =
+        move
+          (Option.map (fun k -> Float.min 1.0 (Float.max 0.0 k)) d.Directive.kappa)
+          ~current:t.eff.kappa
+          ~set:(fun k -> t.eff.kappa <- k)
+          (Printf.sprintf "kappa=%g")
+      in
+      let pacing =
+        move d.Directive.pacing ~current:t.eff.pacing
+          ~set:(fun p -> t.eff.pacing <- p)
+          (fun p -> "pacing=" ^ Pacing.to_string p)
+      in
+      let launchpad =
+        move d.Directive.launchpad ~current:t.eff.launchpad
+          ~set:(fun l -> t.eff.launchpad <- l)
+          (fun l -> "launchpad=" ^ Directive.launchpad_to_string l)
+      in
       let np = Array.length (Deployment.proxies t.deployment) in
-      let changed = ref [] in
-      let note what = changed := what :: !changed in
-      (match d.Directive.kappa with
-      | Some k ->
-          let k = Float.min 1.0 (Float.max 0.0 k) in
-          if k <> t.eff.kappa then begin
-            t.eff.kappa <- k;
-            note (Printf.sprintf "kappa=%g" k)
-          end
-      | None -> ());
-      (match d.Directive.pacing with
-      | Some p ->
-          if p <> t.eff.pacing then begin
-            t.eff.pacing <- p;
-            note ("pacing=" ^ Pacing.to_string p)
-          end
-      | None -> ());
-      (match d.Directive.launchpad with
-      | Some l ->
-          if l <> t.eff.launchpad then begin
-            t.eff.launchpad <- l;
-            note ("launchpad=" ^ Directive.launchpad_to_string l)
-          end
-      | None -> ());
-      (match d.Directive.exclude with
-      | Some nodes ->
-          let fresh = Array.make (max np 1) false in
-          List.iter
-            (function
-              | Node_id.Proxy j when j >= 0 && j < np -> fresh.(j) <- true
-              | _ -> ())
-            nodes;
-          (* never exclude everything: an attacker with no targets left
-             falls back to the full set *)
-          if Array.for_all Fun.id (Array.sub fresh 0 (max np 1)) then
-            Array.fill fresh 0 (Array.length fresh) false;
-          if fresh <> t.eff.excluded then begin
-            t.eff.excluded <- fresh;
-            let named = ref [] in
-            for j = np - 1 downto 0 do
-              if fresh.(j) then named := string_of_int j :: !named
-            done;
-            note
-              (if !named = [] then "exclude=none"
-               else "exclude=proxy" ^ String.concat "+proxy" !named)
-          end
-      | None -> ());
-      if !changed <> [] then begin
-        t.directives_applied <- t.directives_applied + 1;
-        Engine.emit
-          (Deployment.engine t.deployment)
-          (Event.Directive
-             {
-               step = t.current_step;
-               strategy = (if t.strategy_name = "" then "manual" else t.strategy_name);
-               detail = String.concat ", " (List.rev !changed);
-             })
-      end
+      let exclude =
+        move
+          (Option.map
+             (Directive.exclusion_mask ~n:np (function Node_id.Proxy j -> Some j | _ -> None))
+             d.Directive.exclude)
+          ~current:t.eff.excluded
+          ~set:(fun m -> t.eff.excluded <- m)
+          (Directive.exclusion_detail ~tier:"proxy")
+      in
+      kappa @ pacing @ launchpad @ exclude)
 
 let arm t =
   let engine = Deployment.engine t.deployment in
@@ -592,11 +539,12 @@ let stats t =
     sources_burned = t.sources_burned;
     exhausted_slots = t.exhausted_slots;
     intrusions = t.intrusions;
-    directives_applied = t.directives_applied;
+    directives_applied = Fortress_sim.Staging.applied t.staging;
   }
 
 let current_step t = t.current_step
 let config t = t.cfg
+let default_kappa (cfg : config) = cfg.kappa
 
 type live_settings = {
   kappa : float;
@@ -616,15 +564,3 @@ let effective_kappa t =
   let intended = t.cfg.kappa *. float_of_int t.cfg.omega *. float_of_int t.current_step in
   if intended <= 0.0 then 0.0
   else float_of_int (t.indirect_sent - t.indirect_blocked) /. intended
-
-(* conformance witness: Campaign implements the shared surface *)
-module _ : Campaign_intf.S with type t = t and type deployment = Deployment.t and type config = config =
-struct
-  type nonrec t = t
-  type deployment = Deployment.t
-  type nonrec config = config
-
-  let launch = launch
-  let run_until_compromise = run_until_compromise
-  let stats = stats
-end

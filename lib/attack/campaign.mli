@@ -69,8 +69,9 @@ val make_config :
     literals: new fields get defaults instead of breaking every caller. *)
 
 type t
+type deployment = Fortress_core.Deployment.t
 
-val launch : Fortress_core.Deployment.t -> config -> t
+val launch : deployment -> config -> t
 (** Arm the campaign on the deployment's engine; run the engine to make it
     progress. Raises [Invalid_argument] unless [omega > 0] and
     [kappa] is in [0,1]. *)
@@ -88,6 +89,10 @@ val current_step : t -> int
 (** The 1-based step currently in progress. *)
 
 val config : t -> config
+
+val default_kappa : config -> float
+(** The configured [kappa]: what an adaptive strategy restores when it
+    lifts an override. *)
 
 val effective_kappa : t -> float
 (** Delivered indirect probes over [kappa * omega * steps]: how much of the

@@ -1,12 +1,11 @@
 (** The shared campaign surface.
 
-    Every campaign flavour — the fixed-schedule FORTRESS {!Campaign}, the
-    SMR {!Smr_campaign}, and the adaptive observe–decide–act {!Adaptive}
-    wrapper — implements {!S}: launch on a deployment, drive to compromise
-    or a horizon, and report one {!Stats} record. Experiments program
-    against this signature instead of pattern-matching on concrete
-    modules; the six per-counter getters the modules used to export are
-    replaced by the single [stats] projection. *)
+    Both campaign flavours — the fixed-schedule FORTRESS {!Campaign} and
+    the SMR {!Smr_campaign} — implement {!Adaptable}: launch on a
+    deployment, drive to compromise or a horizon, report one {!Stats}
+    record, and accept the observe–decide–act plumbing the {!Adaptive}
+    wrapper drives. Experiments program against these signatures instead
+    of pattern-matching on concrete modules. *)
 
 module Stats = struct
   type t = {
@@ -64,4 +63,17 @@ module type S = sig
       whole steps have elapsed. Returns the 1-based step of compromise. *)
 
   val stats : t -> Stats.t
+end
+
+(** A campaign the adaptive wrapper can drive: {!S} plus the
+    observe–decide–act plumbing. *)
+module type Adaptable = sig
+  include S
+
+  val default_kappa : config -> float
+  (** The configured indirect split a strategy restores when it lifts an
+      override; 0 on a stack without an indirect channel. *)
+
+  val set_boundary_hook : t -> name:string -> (Observation.t -> unit) -> unit
+  val stage : t -> Directive.t -> unit
 end

@@ -23,6 +23,35 @@ let is_unchanged d = d = unchanged
 
 let make ?kappa ?exclude ?pacing ?launchpad () = { kappa; exclude; pacing; launchpad }
 
+(* [merge prev next]: field-wise, [next] wins where it is [Some] *)
+let merge prev next =
+  let pick n p = match n with Some _ -> n | None -> p in
+  {
+    kappa = pick next.kappa prev.kappa;
+    exclude = pick next.exclude prev.exclude;
+    pacing = pick next.pacing prev.pacing;
+    launchpad = pick next.launchpad prev.launchpad;
+  }
+
+(* The tier mask an [exclude] list asks for over [n] nodes, [index]
+   picking out the nodes of that tier. Never excludes everything: an
+   attacker with no targets left falls back to the full set. *)
+let exclusion_mask ~n index nodes =
+  let mask = Array.make (max n 1) false in
+  List.iter
+    (fun node -> match index node with Some i when i >= 0 && i < n -> mask.(i) <- true | _ -> ())
+    nodes;
+  if Array.for_all Fun.id mask then Array.fill mask 0 (Array.length mask) false;
+  mask
+
+(* ["exclude=none"], or e.g. ["exclude=proxy0+proxy2"] *)
+let exclusion_detail ~tier mask =
+  let named = ref [] in
+  for i = Array.length mask - 1 downto 0 do
+    if mask.(i) then named := (tier ^ string_of_int i) :: !named
+  done;
+  if !named = [] then "exclude=none" else "exclude=" ^ String.concat "+" !named
+
 let to_string d =
   if is_unchanged d then "unchanged"
   else

@@ -3,7 +3,6 @@ module Instance = Fortress_defense.Instance
 module Smr_deployment = Fortress_core.Smr_deployment
 module Obfuscation = Fortress_core.Obfuscation
 module Prng = Fortress_util.Prng
-module Event = Fortress_obs.Event
 module Node_id = Fortress_model.Node_id
 module Stats = Campaign_intf.Stats
 
@@ -22,15 +21,16 @@ let make_config ?(omega = default_config.omega) ?(period = default_config.period
 
 type tracked = { knowledge : Knowledge.t; mutable epoch_seen : int; mutable flips : int }
 
+type deployment = Smr_deployment.t
+
 type t = {
   deployment : Smr_deployment.t;
   cfg : config;
   prng : Prng.t;
   tracks : tracked array;
-  excluded : bool array;
-  mutable staged : Directive.t option;
+  mutable excluded : bool array;
+  staging : Directive.t Fortress_sim.Staging.t;
   mutable boundary_hook : (Observation.t -> unit) option;
-  mutable strategy_name : string;
   mutable observing : bool;
   unreach_seen : bool array;
   mutable redirect : int;
@@ -38,7 +38,6 @@ type t = {
   mutable compromised_at : int option;
   mutable probes : int;
   mutable intrusions : int;
-  mutable directives_applied : int;
   mutable m_probes : int;
   mutable m_flips : int;
   mutable stale_steps : int;
@@ -63,9 +62,10 @@ let make deployment cfg =
     prng = Prng.create ~seed:cfg.seed;
     tracks;
     excluded = Array.make (max n 1) false;
-    staged = None;
+    staging =
+      Fortress_sim.Staging.create (Smr_deployment.engine deployment) ~label:"manual"
+        ~unchanged:Directive.unchanged ~merge:Directive.merge;
     boundary_hook = None;
-    strategy_name = "";
     observing = false;
     unreach_seen = Array.make (max n 1) false;
     redirect = 0;
@@ -73,7 +73,6 @@ let make deployment cfg =
     compromised_at = None;
     probes = 0;
     intrusions = 0;
-    directives_applied = 0;
     m_probes = 0;
     m_flips = 0;
     stale_steps = 0;
@@ -144,24 +143,11 @@ let probe_replica t i =
 
 (* ---- observe / decide / act plumbing (mirrors Campaign) ---- *)
 
-let stage t directive =
-  if not (Directive.is_unchanged directive) then
-    t.staged <-
-      Some
-        (match t.staged with
-        | None -> directive
-        | Some prev ->
-            {
-              Directive.kappa = prev.Directive.kappa;
-              exclude =
-                (match directive.Directive.exclude with Some _ as e -> e | None -> prev.Directive.exclude);
-              pacing = prev.Directive.pacing;
-              launchpad = prev.Directive.launchpad;
-            })
+let stage t directive = Fortress_sim.Staging.stage t.staging directive
 
 let set_boundary_hook t ~name hook =
   t.boundary_hook <- Some hook;
-  t.strategy_name <- name;
+  if name <> "" then Fortress_sim.Staging.set_label t.staging name;
   t.observing <- true
 
 let observe t =
@@ -196,39 +182,15 @@ let reset_step_marks t =
 (* S0 has no kappa/pacing/launchpad knobs — only the exclusion set acts;
    other directive fields are silently inert here. *)
 let apply_staged t =
-  match t.staged with
-  | None -> ()
-  | Some d ->
-      t.staged <- None;
-      (match d.Directive.exclude with
-      | Some nodes ->
-          let n = Array.length (Smr_deployment.instances t.deployment) in
-          let fresh = Array.make (max n 1) false in
-          List.iter
-            (function
-              | Node_id.Replica i when i >= 0 && i < n -> fresh.(i) <- true
-              | _ -> ())
-            nodes;
-          if Array.for_all Fun.id fresh then Array.fill fresh 0 (Array.length fresh) false;
-          if fresh <> t.excluded then begin
-            Array.blit fresh 0 t.excluded 0 (Array.length fresh);
-            t.directives_applied <- t.directives_applied + 1;
-            let named = ref [] in
-            for i = n - 1 downto 0 do
-              if fresh.(i) then named := string_of_int i :: !named
-            done;
-            Engine.emit
-              (Smr_deployment.engine t.deployment)
-              (Event.Directive
-                 {
-                   step = t.current_step;
-                   strategy = (if t.strategy_name = "" then "manual" else t.strategy_name);
-                   detail =
-                     (if !named = [] then "exclude=none"
-                      else "exclude=replica" ^ String.concat "+replica" !named);
-                 })
-          end
-      | None -> ())
+  Fortress_sim.Staging.apply t.staging ~step:t.current_step (fun d ->
+      let n = Array.length (Smr_deployment.instances t.deployment) in
+      Fortress_sim.Staging.move
+        (Option.map
+           (Directive.exclusion_mask ~n (function Node_id.Replica i -> Some i | _ -> None))
+           d.Directive.exclude)
+        ~current:t.excluded
+        ~set:(fun m -> t.excluded <- m)
+        (Directive.exclusion_detail ~tier:"replica"))
 
 let arm t =
   let engine = Smr_deployment.engine t.deployment in
@@ -284,10 +246,11 @@ let stats t =
     Stats.compromised_at_step = t.compromised_at;
     direct_probes_sent = t.probes;
     intrusions = t.intrusions;
-    directives_applied = t.directives_applied;
+    directives_applied = Fortress_sim.Staging.applied t.staging;
   }
 
 let current_step t = t.current_step
+let default_kappa _ = 0.0
 
 let excluded_replicas t =
   let out = ref [] in
@@ -295,18 +258,3 @@ let excluded_replicas t =
     if t.excluded.(i) then out := i :: !out
   done;
   !out
-
-(* conformance witness: Smr_campaign implements the shared surface *)
-module _ :
-  Campaign_intf.S
-    with type t = t
-     and type deployment = Smr_deployment.t
-     and type config = config = struct
-  type nonrec t = t
-  type deployment = Smr_deployment.t
-  type nonrec config = config
-
-  let launch = launch
-  let run_until_compromise = run_until_compromise
-  let stats = stats
-end

@@ -36,8 +36,9 @@ val make_config :
     literals. *)
 
 type t
+type deployment = Fortress_core.Smr_deployment.t
 
-val launch : Fortress_core.Smr_deployment.t -> config -> t
+val launch : deployment -> config -> t
 val run_until_compromise : t -> max_steps:int -> int option
 
 val stats : t -> Campaign_intf.Stats.t
@@ -46,6 +47,9 @@ val stats : t -> Campaign_intf.Stats.t
     to export. *)
 
 val current_step : t -> int
+
+val default_kappa : config -> float
+(** Always 0: S0 has no indirect channel. *)
 
 val set_boundary_hook : t -> name:string -> (Observation.t -> unit) -> unit
 (** Install the per-boundary observer; also turns on mid-step reachability

@@ -6,8 +6,7 @@ module Controller = Fortress_defense.Controller
    comes from [attach_telemetry ~alarms:false] so that attaching a defender
    that never acts leaves the event trace byte-identical to an undefended
    run (the [static] conformance contract). Everything below is written
-   once against [Stack_intf.S]; the historical per-stack entry points are
-   kept as thin shims over [attach_stack]. *)
+   once against [Stack_intf.S]. *)
 
 let attach_stack (type s) (module St : Stack_intf.S with type t = s) ?window ?capacity
     ?params ?(period : float option) (stack : s) strategy =
@@ -32,17 +31,3 @@ let attach_stack (type s) (module St : Stack_intf.S with type t = s) ?window ?ca
   in
   let period = match period with Some p -> p | None -> St.rekey_period stack in
   Controller.launch ~engine ~signal ~period ~defaults ~actuator strategy
-
-let attach ?window ?capacity ?params ?period deployment ~obfuscation strategy =
-  attach_stack
-    (module Fortress_stack)
-    ?window ?capacity ?params ?period
-    (Fortress_stack.of_parts ~obfuscation deployment)
-    strategy
-
-let attach_smr ?window ?capacity ?params ?period deployment ~schedule strategy =
-  attach_stack
-    (module Smr_stack)
-    ?window ?capacity ?params ?period
-    (Smr_stack.of_parts ~schedule deployment)
-    strategy

@@ -27,34 +27,3 @@ val attach_stack :
     boundary spacing (default: the stack's rekey period, so decisions land
     between obfuscation boundaries). Telemetry options are passed through
     to {!Stack_intf.S.attach_telemetry}. *)
-
-val attach :
-  ?window:float ->
-  ?capacity:int ->
-  ?params:(Fortress_obs.Signal.kind -> Fortress_obs.Signal.params) ->
-  ?period:float ->
-  Deployment.t ->
-  obfuscation:Obfuscation.t ->
-  Fortress_defense.Controller.Strategy.t ->
-  Fortress_defense.Controller.t
-(** [attach_stack] over {!Fortress_stack}: the actuator drives
-    {!Obfuscation.set_period}, {!Proxy.set_detection_threshold} on every
-    proxy, and {!Deployment.rekey} / {!Deployment.recover} for boosts.
-    Kept for callers that hold the raw parts; new code should build a
-    {!Fortress_stack.t} and call {!attach_stack}. *)
-
-val attach_smr :
-  ?window:float ->
-  ?capacity:int ->
-  ?params:(Fortress_obs.Signal.kind -> Fortress_obs.Signal.params) ->
-  ?period:float ->
-  Smr_deployment.t ->
-  schedule:Smr_deployment.schedule ->
-  Fortress_defense.Controller.Strategy.t ->
-  Fortress_defense.Controller.t
-(** [attach_stack] over {!Smr_stack}: the rekey-period knob drives
-    {!Smr_deployment.set_schedule_period}; both boosts run
-    {!Smr_deployment.force_boundary} (recovery is the batched boundary
-    there); the proxy-threshold knob is a graceful no-op — S0 has no
-    proxy tier. Kept for callers that hold the raw parts; new code should
-    build an {!Smr_stack.t} and call {!attach_stack}. *)

@@ -1,6 +1,5 @@
 module Engine = Fortress_sim.Engine
 module Signal = Fortress_obs.Signal
-module Event = Fortress_obs.Event
 
 type defaults = { rekey_period : float; threshold : int }
 
@@ -129,69 +128,52 @@ end
 type settings = { mutable rekey_period : float; mutable threshold : int }
 
 type t = {
-  engine : Engine.t;
   signal : Signal.t;
   name : string;
   defaults : defaults;
   actuator : actuator;
   eff : settings;
   decide : Strategy.decide;
-  mutable staged : Defense_directive.t;
+  staging : Defense_directive.t Fortress_sim.Staging.t;
   mutable step : int;  (** completed controller boundaries *)
   mutable alarm_cursor : int;
-  mutable applied : int;
 }
 
-let stage t directive =
-  if not (Defense_directive.is_unchanged directive) then
-    t.staged <- Defense_directive.merge t.staged directive
+let stage t directive = Fortress_sim.Staging.stage t.staging directive
 
 (* Fold the staged directive (if any) into the live settings and drive the
-   actuator. Runs only at boundaries; emits one Directive event when — and
-   only when — a setting actually moved or a boost fired. *)
+   actuator. Runs only at boundaries; a boost always counts as a move. *)
 let apply_staged t =
-  let d = t.staged in
-  t.staged <- Defense_directive.unchanged;
-  if not (Defense_directive.is_unchanged d) then begin
-    let changed = ref [] in
-    let note what = changed := what :: !changed in
-    (match d.Defense_directive.rekey_period with
-    | Some p ->
-        let p = Float.max 1.0 p in
-        if p <> t.eff.rekey_period then begin
-          t.eff.rekey_period <- p;
-          t.actuator.set_rekey_period p;
-          note (Printf.sprintf "rekey-period=%g" p)
-        end
-    | None -> ());
-    (match d.Defense_directive.threshold with
-    | Some k ->
-        let k = max 1 k in
-        if k <> t.eff.threshold then begin
-          t.eff.threshold <- k;
-          t.actuator.set_threshold k;
-          note (Printf.sprintf "threshold=%d" k)
-        end
-    | None -> ());
-    (match d.Defense_directive.boost with
-    | Some Defense_directive.Rekey_now ->
-        t.actuator.rekey_now ();
-        note "rekey-now"
-    | Some Defense_directive.Recover_now ->
-        t.actuator.recover_now ();
-        note "recover-now"
-    | None -> ());
-    if !changed <> [] then begin
-      t.applied <- t.applied + 1;
-      Engine.emit t.engine
-        (Event.Directive
-           {
-             step = t.step;
-             strategy = "defender:" ^ t.name;
-             detail = String.concat ", " (List.rev !changed);
-           })
-    end
-  end
+  Fortress_sim.Staging.apply t.staging ~step:t.step (fun d ->
+      let move = Fortress_sim.Staging.move in
+      let period =
+        move
+          (Option.map (Float.max 1.0) d.Defense_directive.rekey_period)
+          ~current:t.eff.rekey_period
+          ~set:(fun p ->
+            t.eff.rekey_period <- p;
+            t.actuator.set_rekey_period p)
+          (Printf.sprintf "rekey-period=%g")
+      in
+      let threshold =
+        move
+          (Option.map (max 1) d.Defense_directive.threshold)
+          ~current:t.eff.threshold
+          ~set:(fun k ->
+            t.eff.threshold <- k;
+            t.actuator.set_threshold k)
+          (Printf.sprintf "threshold=%d")
+      in
+      let boost =
+        match d.Defense_directive.boost with
+        | Some b ->
+            (match b with
+            | Defense_directive.Rekey_now -> t.actuator.rekey_now ()
+            | Defense_directive.Recover_now -> t.actuator.recover_now ());
+            [ Defense_directive.boost_to_string b ]
+        | None -> []
+      in
+      period @ threshold @ boost)
 
 (* observe -> decide -> stage -> apply, mirroring the attacker campaign's
    boundary mechanics: externally staged directives (tests, manual
@@ -201,8 +183,7 @@ let boundary t =
     Defense_observation.assemble ~step:(t.step + 1) ~alarm_cursor:t.alarm_cursor t.signal
   in
   t.alarm_cursor <- cursor;
-  let d = t.decide obs in
-  if not (Defense_directive.is_unchanged d) then stage t d;
+  stage t (t.decide obs);
   t.step <- t.step + 1;
   apply_staged t
 
@@ -210,17 +191,17 @@ let launch ~engine ~signal ~period ~defaults ~actuator (strategy : Strategy.t) =
   if period <= 0.0 then invalid_arg "Controller.launch: period must be positive";
   let t =
     {
-      engine;
       signal;
       name = strategy.Strategy.name;
       defaults;
       actuator;
       eff = { rekey_period = defaults.rekey_period; threshold = defaults.threshold };
       decide = strategy.Strategy.make ~defaults;
-      staged = Defense_directive.unchanged;
+      staging =
+        Fortress_sim.Staging.create engine ~label:("defender:" ^ strategy.Strategy.name)
+          ~unchanged:Defense_directive.unchanged ~merge:Defense_directive.merge;
       step = 0;
       alarm_cursor = 0;
-      applied = 0;
     }
   in
   ignore (Engine.every engine ~period (fun () -> boundary t));
@@ -232,4 +213,4 @@ let settings t = { rekey_period = t.eff.rekey_period; threshold = t.eff.threshol
 let effective_rekey_period t = t.eff.rekey_period
 let effective_threshold t = t.eff.threshold
 let steps_completed t = t.step
-let directives_applied t = t.applied
+let directives_applied t = Fortress_sim.Staging.applied t.staging

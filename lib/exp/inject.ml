@@ -11,6 +11,7 @@ module Signal = Fortress_obs.Signal
 module Latency = Fortress_obs.Latency
 module Table = Fortress_util.Table
 module Workload = Fortress_load.Workload
+module Stats = Fortress_attack.Campaign_intf.Stats
 
 type config = {
   trials : int;
@@ -109,10 +110,10 @@ let attach_causal_plane engine = function
    per-stack code: sinks, causal plane, obfuscation, fault plan, defender,
    the default health-probe workload (fortress only), then the campaign.
    The [--load] workload plane attaches after the default client so a
-   load-free run consumes exactly the historical PRNG stream. *)
+   load-free run consumes exactly the historical PRNG stream. Returns the
+   campaign's statistics and the defender directives applied. *)
 let stack_trial (type s) (module D : Stack_driver.S with type t = s) ?strategy ?defender
-    cfg plan ~digest ~record ~latency ~trace_id ~faults ~issued ~answered ~load_stats
-    ~directives ~ddirectives ~seed =
+    cfg plan ~digest ~record ~latency ~trace_id ~faults ~issued ~answered ~load_stats ~seed =
   let period = 100.0 in
   let stack : s = D.make ~chi:cfg.chi ~seed in
   let engine = D.engine stack in
@@ -143,21 +144,18 @@ let stack_trial (type s) (module D : Stack_driver.S with type t = s) ?strategy ?
       (fun spec -> Workload.attach (module D : Fortress_core.Stack_intf.S with type t = s and type client = D.client) stack ~seed spec)
       cfg.load
   in
-  let lifetime =
+  let attack =
     if cfg.omega = 0 then begin
       (* the no-attack baseline of the degradation surface: no campaign
          is launched (both campaign constructors reject omega = 0), the
          engine just runs the same virtual horizon the campaign would *)
       Engine.run ~until:(float_of_int cfg.max_steps *. period) (D.engine stack);
-      None
+      Stats.zero
     end
     else
       D.run_campaign ?strategy stack ~omega:cfg.omega ~kappa:cfg.kappa ~period
-        ~seed:(seed + 7919) ~max_steps:cfg.max_steps ~directives
+        ~seed:(seed + 7919) ~max_steps:cfg.max_steps
   in
-  Option.iter
-    (fun c -> ddirectives := !ddirectives + Controller.directives_applied c)
-    defense;
   (match (load_handle, load_stats) with
   | Some h, Some acc ->
       let s = Workload.stats h in
@@ -168,7 +166,7 @@ let stack_trial (type s) (module D : Stack_driver.S with type t = s) ?strategy ?
   | _ -> ());
   Option.iter Timeline.finish causal_tl;
   accumulate faults (plan_stats ());
-  lifetime
+  (attack, Option.fold ~none:0 ~some:Controller.directives_applied defense)
 
 (* The per-trial side channel filled in by whichever domain runs the
    trial: every cell is written by exactly one trial index, and the join
@@ -238,23 +236,22 @@ let run_plan_with trial ?sink ?(causal_offset = 0) cfg plan =
         let latency = if cfg.causal then Some (Latency.collector ()) else None in
         let faults = Injector.fresh_stats () in
         let issued = ref 0 and answered = ref 0 in
-        let directives = ref 0 and ddirectives = ref 0 in
         let load_stats = Option.map (fun _ -> Workload.fresh_stats ()) cfg.load in
-        let lifetime =
+        let attack, defended =
           trial cfg plan ~digest ~record:(Option.map fst buffer)
             ~latency:(Option.map fst latency)
             ~trace_id:(if cfg.causal then Some (causal_offset + index) else None)
-            ~faults ~issued ~answered ~load_stats ~directives ~ddirectives
+            ~faults ~issued ~answered ~load_stats
             ~seed:((cfg.seed * 1000) + index)
         in
         slots.(index - 1) <-
           Some
             { ts_digest = finalize (); ts_faults = faults; ts_issued = !issued;
-              ts_answered = !answered; ts_directives = !directives;
-              ts_ddirectives = !ddirectives; ts_replay = Option.map snd buffer;
+              ts_answered = !answered; ts_directives = attack.Stats.directives_applied;
+              ts_ddirectives = defended; ts_replay = Option.map snd buffer;
               ts_latency = Option.map (fun (_, fin) -> fin ()) latency;
               ts_load = load_stats };
-        lifetime)
+        attack.Stats.compromised_at_step)
       ()
   in
   let faults = Injector.fresh_stats () in

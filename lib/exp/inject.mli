@@ -115,7 +115,7 @@ val run_smr_plan :
   Fortress_faults.Plan.t ->
   run
 (** The same plan folded onto the 1-tier SMR stack (S0) by
-    {!Fortress_faults.Smr_wiring}. Without {!config.load} this path runs
+    {!Fortress_faults.Wiring.install_smr}. Without {!config.load} this path runs
     no client at all, so [availability] is [None]; with a load spec the
     workload plane drives the replicas and availability is measured, not
     fabricated. The defender steers the batched schedule through the

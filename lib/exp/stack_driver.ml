@@ -9,7 +9,6 @@ module Adaptive = Fortress_attack.Adaptive
 module Stats = Fortress_attack.Campaign_intf.Stats
 module Plan = Fortress_faults.Plan
 module Wiring = Fortress_faults.Wiring
-module Smr_wiring = Fortress_faults.Smr_wiring
 module Injector = Fortress_faults.Injector
 
 module type S = sig
@@ -32,9 +31,26 @@ module type S = sig
     period:float ->
     seed:int ->
     max_steps:int ->
-    directives:int ref ->
-    int option
+    Stats.t
 end
+
+(* Launch campaign [C] on [d] and run it to compromise or [max_steps]:
+   bare on the fixed-schedule path, kept separate so its byte-trace never
+   depends on the adaptive plumbing, or under the adaptive wrapper. *)
+let run_to_end (type c d cfg)
+    (module C : Fortress_attack.Campaign_intf.Adaptable
+      with type t = c
+       and type deployment = d
+       and type config = cfg) ?strategy (d : d) (cfg : cfg) ~max_steps =
+  match strategy with
+  | None ->
+      let c = C.launch d cfg in
+      ignore (C.run_until_compromise c ~max_steps);
+      C.stats c
+  | Some strategy ->
+      let a = Adaptive.launch (module C) d (Adaptive.make_config ~strategy cfg) in
+      ignore (Adaptive.run_until_compromise a ~max_steps);
+      Adaptive.stats a
 
 module Fortress : S = struct
   include Fortress_core.Fortress_stack
@@ -64,21 +80,10 @@ module Fortress : S = struct
 
   let default_workload = true
 
-  let run_campaign ?strategy t ~omega ~kappa ~period ~seed ~max_steps ~directives =
-    let attack_cfg = Campaign.make_config ~omega ~kappa ~period ~seed () in
-    match strategy with
-    | None ->
-        (* the legacy fixed-schedule path, kept separate so its byte-trace
-           never depends on the adaptive plumbing *)
-        let campaign = Campaign.launch (deployment t) attack_cfg in
-        Campaign.run_until_compromise campaign ~max_steps
-    | Some strategy ->
-        let adaptive =
-          Adaptive.launch (deployment t) (Adaptive.make_config ~strategy attack_cfg)
-        in
-        let lifetime = Adaptive.run_until_compromise adaptive ~max_steps in
-        directives := !directives + (Adaptive.stats adaptive).Stats.directives_applied;
-        lifetime
+  let run_campaign ?strategy t ~omega ~kappa ~period ~seed ~max_steps =
+    run_to_end (module Campaign) ?strategy (deployment t)
+      (Campaign.make_config ~omega ~kappa ~period ~seed ())
+      ~max_steps
 end
 
 module Smr : S = struct
@@ -100,27 +105,18 @@ module Smr : S = struct
 
   let install_plan t plan ~seed =
     let handle =
-      Smr_wiring.install plan ~deployment:(deployment t) ~schedule:(require_schedule t)
+      Wiring.install_smr plan ~deployment:(deployment t) ~schedule:(require_schedule t)
         ~seed ()
     in
-    fun () -> Smr_wiring.stats handle
+    fun () -> Wiring.stats handle
 
   let attach_defense t strategy =
     Defense_control.attach_stack (module Fortress_core.Smr_stack) t strategy
 
   let default_workload = false
 
-  let run_campaign ?strategy t ~omega ~kappa:_ ~period ~seed ~max_steps ~directives =
-    let attack_cfg = Smr_campaign.make_config ~omega ~period ~seed () in
-    match strategy with
-    | None ->
-        let campaign = Smr_campaign.launch (deployment t) attack_cfg in
-        Smr_campaign.run_until_compromise campaign ~max_steps
-    | Some strategy ->
-        let adaptive =
-          Adaptive.Smr.launch (deployment t) (Adaptive.Smr.make_config ~strategy attack_cfg)
-        in
-        let lifetime = Adaptive.Smr.run_until_compromise adaptive ~max_steps in
-        directives := !directives + (Adaptive.Smr.stats adaptive).Stats.directives_applied;
-        lifetime
+  let run_campaign ?strategy t ~omega ~kappa:_ ~period ~seed ~max_steps =
+    run_to_end (module Smr_campaign) ?strategy (deployment t)
+      (Smr_campaign.make_config ~omega ~period ~seed ())
+      ~max_steps
 end

@@ -38,11 +38,11 @@ module type S = sig
     period:float ->
     seed:int ->
     max_steps:int ->
-    directives:int ref ->
-    int option
-  (** Run the stack's attack campaign to compromise or [max_steps];
-      adds any adaptive directives applied to [directives]. [kappa] is
-      ignored by stacks without an indirect-probe channel (SMR). *)
+    Fortress_attack.Campaign_intf.Stats.t
+  (** Run the stack's attack campaign to compromise or [max_steps] and
+      return its statistics: [compromised_at_step] is the lifetime and
+      [directives_applied] counts adaptive directives. [kappa] is ignored
+      by stacks without an indirect-probe channel (SMR). *)
 end
 
 module Fortress : S

@@ -8,8 +8,9 @@
     restart, pairwise partitions with scheduled heal, rekey-daemon stalls
     and a global scheduling slowdown.
 
-    Plans are pure data; {!Wiring.install} compiles one onto a live
-    FORTRESS deployment. Identical (plan, seed) pairs reproduce bit-equal
+    Plans are pure data; {!Wiring} compiles one onto a live deployment of
+    either stack ({!Wiring.install} for FORTRESS, {!Wiring.install_smr}
+    for the SMR baseline S0). Identical (plan, seed) pairs reproduce bit-equal
     traces — nothing in a plan consults wall-clock time or global state. *)
 
 type link = {
@@ -36,8 +37,10 @@ type target = Fortress_model.Node_id.t =
   | Nameserver
 (** Re-export of {!Fortress_model.Node_id.t}: plans, attacker observations
     and trace events share one node-naming scheme. [Server]/[Proxy] name
-    FORTRESS nodes, [Replica] names an SMR node; each wiring rejects
-    targets its deployment flavour does not have. *)
+    FORTRESS nodes, [Replica] names an SMR node. The FORTRESS wiring
+    rejects targets its deployment does not have, [Replica] included;
+    the S0 wiring folds every target onto its one replica tier (see
+    {!Wiring}). *)
 
 val target_to_string : target -> string
 (** Alias of {!Fortress_model.Node_id.to_string} — the exact strings trace

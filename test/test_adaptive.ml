@@ -79,33 +79,64 @@ let observed_deployment ?(keys = 1 lsl 12) ?(seed = 3) () =
   Deployment.create
     { Deployment.default_config with keyspace = Keyspace.of_size keys; seed }
 
+let observed_smr_deployment () =
+  let d =
+    Smr_deployment.create
+      { Smr_deployment.default_config with keyspace = Keyspace.of_size (1 lsl 12); seed = 3 }
+  in
+  ignore (Smr_deployment.attach_schedule d ~mode:Obfuscation.PO ~period:100.0);
+  d
+
 (* Staging a directive mid-step must leave the live settings untouched
    until the engine crosses the next boundary, for any staging time within
-   the step. qcheck drives the stage offset and the directive payload. *)
+   the step, on either stack. qcheck drives the stack, the stage offset
+   and the directive payload: a kappa on FORTRESS, an excluded replica on
+   S0 (where only the exclusion acts). *)
 let prop_directive_applies_only_at_boundary =
   QCheck.Test.make ~count:30 ~name:"directive applies only at next boundary"
-    QCheck.(pair (float_bound_exclusive 99.0) (float_bound_inclusive 0.9))
-    (fun (offset, kappa) ->
+    QCheck.(quad bool (float_bound_exclusive 99.0) (float_bound_inclusive 0.9) (int_range 0 3))
+    (fun (smr, offset, kappa, replica) ->
       let offset = Float.max 0.1 offset in
-      let d = observed_deployment () in
-      ignore (Obfuscation.attach d ~mode:Obfuscation.PO ~period:100.0);
-      let c =
-        Campaign.launch d (Campaign.make_config ~omega:4 ~kappa:0.5 ~period:100.0 ~seed:7 ())
-      in
-      Campaign.set_boundary_hook c ~name:"qcheck" (fun _ -> ());
-      let engine = Deployment.engine d in
       let module Engine = Fortress_sim.Engine in
+      (* [engine, stage, read, initial, staged] for the chosen stack *)
+      let engine, stage, read, initial, staged =
+        if smr then begin
+          let d = observed_smr_deployment () in
+          let c = Smr_campaign.launch d (Smr_campaign.make_config ~omega:4 ~period:100.0 ~seed:7 ()) in
+          Smr_campaign.set_boundary_hook c ~name:"qcheck" (fun _ -> ());
+          ( Smr_deployment.engine d,
+            (fun () ->
+              Smr_campaign.stage c
+                (Directive.make ~exclude:[ Fortress_model.Node_id.Replica replica ] ())),
+            (fun () -> `Excluded (Smr_campaign.excluded_replicas c)),
+            `Excluded [],
+            `Excluded [ replica ] )
+        end
+        else begin
+          let d = observed_deployment () in
+          ignore (Obfuscation.attach d ~mode:Obfuscation.PO ~period:100.0);
+          let c =
+            Campaign.launch d (Campaign.make_config ~omega:4 ~kappa:0.5 ~period:100.0 ~seed:7 ())
+          in
+          Campaign.set_boundary_hook c ~name:"qcheck" (fun _ -> ());
+          ( Deployment.engine d,
+            (fun () -> Campaign.stage c (Directive.make ~kappa ())),
+            (fun () -> `Kappa (Campaign.settings c).Campaign.kappa),
+            `Kappa 0.5,
+            `Kappa kappa )
+        end
+      in
       (* run into step 1, stage at [offset], check unchanged through the
          rest of the step, changed right after the boundary *)
       let start = Engine.now engine in
       Engine.run ~until:(start +. offset) engine;
-      Campaign.stage c (Directive.make ~kappa ());
-      let before = (Campaign.settings c).Campaign.kappa in
+      stage ();
+      let before = read () in
       Engine.run ~until:(start +. 99.9) engine;
-      let still = (Campaign.settings c).Campaign.kappa in
+      let still = read () in
       Engine.run ~until:(start +. 100.1) engine;
-      let after = (Campaign.settings c).Campaign.kappa in
-      before = 0.5 && still = 0.5 && after = kappa)
+      let after = read () in
+      before = initial && still = initial && after = staged)
 
 let test_staged_directive_merges_last_wins () =
   let d = observed_deployment () in
@@ -125,11 +156,29 @@ let test_staged_directive_merges_last_wins () =
   Alcotest.(check bool) "earlier launchpad survives" true
     (s.Campaign.launchpad = Campaign.Next_step)
 
+let test_smr_staged_directive_merges_last_wins () =
+  let d = observed_smr_deployment () in
+  let c = Smr_campaign.launch d (Smr_campaign.make_config ~omega:4 ~period:100.0 ~seed:7 ()) in
+  Smr_campaign.set_boundary_hook c ~name:"merge" (fun _ -> ());
+  let engine = Smr_deployment.engine d in
+  let module Engine = Fortress_sim.Engine in
+  let module N = Fortress_model.Node_id in
+  Engine.run ~until:(Engine.now engine +. 10.0) engine;
+  Smr_campaign.stage c (Directive.make ~exclude:[ N.Replica 0; N.Replica 2 ] ());
+  Smr_campaign.stage c (Directive.make ~kappa:0.9 ());
+  Smr_campaign.stage c (Directive.make ~exclude:[ N.Replica 1 ] ());
+  Alcotest.(check (list int)) "nothing moves before the boundary" []
+    (Smr_campaign.excluded_replicas c);
+  Engine.run ~until:(Engine.now engine +. 100.0) engine;
+  Alcotest.(check (list int)) "later exclusion wins" [ 1 ] (Smr_campaign.excluded_replicas c);
+  Alcotest.(check int) "one directive applied" 1
+    (Smr_campaign.stats c).Stats.directives_applied
+
 let test_oblivious_campaign_settings_never_move () =
   let d = observed_deployment () in
   ignore (Obfuscation.attach d ~mode:Obfuscation.PO ~period:100.0);
   let a =
-    Adaptive.launch d
+    Adaptive.launch (module Campaign) d
       (Adaptive.make_config ~strategy:Adaptive.Strategy.oblivious
          (Campaign.make_config ~omega:4 ~kappa:0.5 ~period:100.0 ~seed:7 ()))
   in
@@ -185,6 +234,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_directive_applies_only_at_boundary;
           Alcotest.test_case "staged merge, last wins" `Quick
             test_staged_directive_merges_last_wins;
+          Alcotest.test_case "S0 staged merge, last wins" `Quick
+            test_smr_staged_directive_merges_last_wins;
         ] );
       ( "node-id",
         [ Alcotest.test_case "string round-trip" `Quick test_node_id_round_trip ] );

@@ -133,7 +133,10 @@ let test_alarm_rekey_staleness_trace () =
          match ev with Event.Rekey _ -> rekey_times := time :: !rekey_times | _ -> ()));
   let obfuscation = Obfuscation.attach deployment ~mode:Obfuscation.PO ~period:100.0 in
   let c =
-    Defense_control.attach deployment ~obfuscation Controller.Strategy.alarm_rekey
+    Defense_control.attach_stack
+      (module Fortress_core.Fortress_stack)
+      (Fortress_core.Fortress_stack.of_parts ~obfuscation deployment)
+      Controller.Strategy.alarm_rekey
   in
   ignore (Engine.schedule engine ~delay:150.0 (fun () -> Obfuscation.set_stalled obfuscation true));
   Engine.run ~until:599.0 engine;

@@ -176,6 +176,107 @@ let test_stall_skips_boundaries () =
   Alcotest.(check int) "resumes after unwedging" 1 (Obfuscation.steps_completed o);
   Obfuscation.detach o
 
+(* ---- the S0 fold: one plan, a single replica tier ----
+
+   Driven through [Stack_driver.Smr] so the test exercises exactly the
+   fault path the inject loop uses on S0 (n = 4 replicas). *)
+
+module Smr_driver = Fortress_exp.Stack_driver.Smr
+module Sink = Fortress_obs.Sink
+module Event = Fortress_obs.Event
+
+let smr_stack () =
+  let t = Smr_driver.make ~chi:64 ~seed:3 in
+  Smr_driver.start_obfuscation t ~period:100.0;
+  let sub, read = Sink.memory () in
+  ignore (Sink.attach (Engine.sink (Smr_driver.engine t)) sub);
+  (t, read)
+
+let one_action action = { Plan.none with name = "fold"; timeline = [ Plan.once ~at:1.0 action ] }
+
+let faults read =
+  List.filter_map
+    (fun (_, ev) ->
+      match ev with
+      | Event.Fault { action; target; _ } -> Some (action ^ ":" ^ target)
+      | _ -> None)
+    (read ())
+
+let fold_faults action =
+  let t, read = smr_stack () in
+  let stats = Smr_driver.install_plan t (one_action action) ~seed:3 () in
+  Engine.run ~until:2.0 (Smr_driver.engine t);
+  Alcotest.(check int) "the entry fired" 1 stats.Injector.timeline_fired;
+  (t, faults read)
+
+let test_smr_fold_proxy_to_tail () =
+  let _, fs = fold_faults (Plan.Crash (Plan.Proxy 0)) in
+  Alcotest.(check (list string)) "proxy 0 folds onto replica n-1"
+    [ "plan_installed:fold"; "crash:replica3" ] fs
+
+let test_smr_fold_server_and_replica () =
+  let _, by_server = fold_faults (Plan.Crash (Plan.Server 1)) in
+  let _, by_replica = fold_faults (Plan.Crash (Plan.Replica 1)) in
+  Alcotest.(check (list string)) "server 1 hits replica 1"
+    [ "plan_installed:fold"; "crash:replica1" ] by_server;
+  Alcotest.(check (list string)) "replica 1 hits replica 1" by_server by_replica
+
+let test_smr_fold_nameserver_skipped () =
+  (* every replica crash emits a crash event, so its absence means no
+     replica went down *)
+  let _, fs = fold_faults (Plan.Crash Plan.Nameserver) in
+  Alcotest.(check (list string)) "exactly one skip, no crash"
+    [ "plan_installed:fold"; "skip:nameserver" ] fs
+
+let test_smr_fold_out_of_range_rejected () =
+  let t, read = smr_stack () in
+  (* a certain-drop link layer: had the interceptor been installed, no
+     request could be answered afterwards *)
+  let plan =
+    {
+      (one_action (Plan.Crash (Plan.Server 4))) with
+      link = { Plan.calm with drop = 1.0 };
+    }
+  in
+  (match Smr_driver.install_plan t plan ~seed:3 () with
+  | _ -> Alcotest.fail "accepted a target that folds onto no replica"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check (list string)) "no event emitted" [] (faults read);
+  let c = Smr_driver.new_client t ~name:"c0" in
+  let answered = ref false in
+  ignore (Smr_driver.submit c ~cmd:"get x" ~on_response:(fun _ -> answered := true));
+  Engine.run ~until:50.0 (Smr_driver.engine t);
+  Alcotest.(check bool) "no interceptor: the request is answered" true !answered
+
+(* ---- pinned inject digests on both stacks ----
+
+   The safety net for refactors of the fault, staging and adaptive
+   planes: one adaptive attacker and one acting defender on the two
+   plans that exercise every timeline action but resume, corruption and
+   the S0 nameserver skip. A pure refactor moves none of these numbers. *)
+
+let test_pinned_digests () =
+  let cfg = { Inject.default_config with trials = 4; max_steps = 120 } in
+  let strategy = Option.get (Fortress_attack.Adaptive.Strategy.find "partition-follower") in
+  let defender = Option.get (Inject.find_defender "alarm-rekey") in
+  let fortress plan = Inject.run_plan ~strategy ~defender cfg plan in
+  let smr plan = Inject.run_smr_plan ~strategy ~defender cfg plan in
+  List.iter
+    (fun (what, run, plan, digest, attacker, defended, fired) ->
+      let r : Inject.run = run plan in
+      Alcotest.(check string) (what ^ " digest") digest r.Inject.digest;
+      Alcotest.(check int) (what ^ " attacker directives") attacker r.Inject.directives;
+      Alcotest.(check int) (what ^ " defender directives") defended
+        r.Inject.defender_directives;
+      Alcotest.(check int) (what ^ " timeline fired") fired
+        r.Inject.faults.Injector.timeline_fired)
+    [
+      ("fortress crashy", fortress, Plan.crashy, "a55c876ea5ef1643", 85, 0, 1074);
+      ("fortress chaos", fortress, Plan.chaos, "dc2fb3246442b14d", 25, 7, 324);
+      ("smr crashy", smr, Plan.crashy, "056237adc9673c93", 8, 460, 4156);
+      ("smr chaos", smr, Plan.chaos, "cc9dfa114df55951", 33, 389, 3714);
+    ]
+
 (* ---- end-to-end: determinism and the escalation ladder ---- *)
 
 let quick_config = { Inject.default_config with trials = 2; max_steps = 80; seed = 5 }
@@ -211,7 +312,6 @@ let test_escalation_ordering () =
 (* ---- causal tracing through inject ---- *)
 
 module Latency = Fortress_obs.Latency
-module Sink = Fortress_obs.Sink
 
 let causal_config = { quick_config with causal = true }
 
@@ -291,6 +391,17 @@ let () =
           Alcotest.test_case "rekey skips down server" `Quick test_rekey_skips_down_server;
           Alcotest.test_case "stall skips boundaries" `Quick test_stall_skips_boundaries;
         ] );
+      ( "smr-fold",
+        [
+          Alcotest.test_case "proxy folds onto the tail" `Quick test_smr_fold_proxy_to_tail;
+          Alcotest.test_case "server and replica agree" `Quick
+            test_smr_fold_server_and_replica;
+          Alcotest.test_case "nameserver skipped" `Quick test_smr_fold_nameserver_skipped;
+          Alcotest.test_case "out of range rejected" `Quick
+            test_smr_fold_out_of_range_rejected;
+        ] );
+      ( "pinned",
+        [ Alcotest.test_case "inject digests on both stacks" `Quick test_pinned_digests ] );
       ( "inject",
         [
           Alcotest.test_case "trace digest deterministic" `Slow test_digest_deterministic;
