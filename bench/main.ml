@@ -110,6 +110,20 @@ let test_sha256 =
   let payload = String.make 4096 'x' in
   Test.make ~name:"crypto-sha256-4KiB" (Staged.stage (fun () -> ignore (Sha256.digest payload)))
 
+(* one signature over a reply-sized payload under a prepared key: the
+   shape every request pays about 15 times *)
+let test_hmac =
+  let secret, _ = Fortress_crypto.Sign.generate (Fortress_util.Prng.create ~seed:1) in
+  let payload = String.make 128 'x' in
+  Test.make ~name:"crypto-hmac-128B"
+    (Staged.stage (fun () -> ignore (Fortress_crypto.Sign.sign secret payload)))
+
+(* one event folded into a trace digest: render the JSONL line, hash it *)
+let test_digest_event =
+  let sub, _ = Fortress_obs.Sink.digesting () in
+  let ev = Fortress_obs.Event.Msg_delivered { src = 3; dst = 7 } in
+  Test.make ~name:"obs-digest-event" (Staged.stage (fun () -> sub ~time:1234.5 ev))
+
 let test_pb_deployment =
   Test.make ~name:"protocol-fortress-request-roundtrip"
     (Staged.stage (fun () ->
@@ -151,6 +165,8 @@ let benchmark () =
         test_probe_mc;
         test_markov;
         test_sha256;
+        test_hmac;
+        test_digest_event;
         test_pb_deployment;
       ]
   in

@@ -10,6 +10,11 @@ val init : unit -> ctx
 val feed : ctx -> string -> unit
 (** Absorb bytes; may be called repeatedly. *)
 
+val copy : ctx -> ctx
+(** An independent context in the same state: feeding or finalizing one
+    leaves the other untouched. HMAC keeps its padded-key midstates this
+    way. *)
+
 val finalize : ctx -> string
 (** Return the 32-byte raw digest and invalidate the context (further
     [feed]/[finalize] raises [Invalid_argument]). *)

@@ -121,80 +121,89 @@ let verbosity = function
   | Failover _ | Repl _ | Trial _ | Directive _ | Note _ ->
       `Info
 
-let to_json ev =
-  let tag fields = Json.Obj (("event", Json.Str (label ev)) :: fields) in
-  match ev with
+let field_str buf key v =
+  Buffer.add_string buf key;
+  Json.add_string buf v
+
+let field_int buf key v =
+  Buffer.add_string buf key;
+  Json.add_int buf v
+
+(* One trace line, written straight into [buf] with the {!Json} scalar
+   formatters: the field order is the JSONL format, so it must not move. *)
+let add_jsonl buf ~time ev =
+  Buffer.add_string buf "{\"t\":";
+  Json.add_num buf time;
+  field_str buf ",\"event\":" (label ev);
+  (match ev with
   | Probe { kind; tier; target; outcome } ->
-      tag
-        [
-          ("kind", Json.Str (kind_to_string kind));
-          ("tier", Json.Str (tier_to_string tier));
-          ("target", Json.Num (float_of_int target));
-          ("outcome", Json.Str (outcome_to_string outcome));
-        ]
+      field_str buf ",\"kind\":" (kind_to_string kind);
+      field_str buf ",\"tier\":" (tier_to_string tier);
+      field_int buf ",\"target\":" target;
+      field_str buf ",\"outcome\":" (outcome_to_string outcome)
   | Compromise { tier; index } ->
-      tag [ ("tier", Json.Str (tier_to_string tier)); ("index", Json.Num (float_of_int index)) ]
-  | Rekey { nodes } -> tag [ ("nodes", Json.Num (float_of_int nodes)) ]
-  | Recover { nodes } -> tag [ ("nodes", Json.Num (float_of_int nodes)) ]
-  | Step { n } -> tag [ ("n", Json.Num (float_of_int n)) ]
-  | Invalid_observed { proxy } -> tag [ ("proxy", Json.Num (float_of_int proxy)) ]
+      field_str buf ",\"tier\":" (tier_to_string tier);
+      field_int buf ",\"index\":" index
+  | Rekey { nodes } | Recover { nodes } -> field_int buf ",\"nodes\":" nodes
+  | Step { n } -> field_int buf ",\"n\":" n
+  | Invalid_observed { proxy } -> field_int buf ",\"proxy\":" proxy
   | Source_blocked { proxy; source } ->
-      tag [ ("proxy", Json.Num (float_of_int proxy)); ("source", Json.Num (float_of_int source)) ]
-  | Source_rotated { burned } -> tag [ ("burned", Json.Num (float_of_int burned)) ]
-  | Request_submitted { id } -> tag [ ("id", Json.Str id) ]
+      field_int buf ",\"proxy\":" proxy;
+      field_int buf ",\"source\":" source
+  | Source_rotated { burned } -> field_int buf ",\"burned\":" burned
+  | Request_submitted { id } | Reply_rejected { id } -> field_str buf ",\"id\":" id
   | Request_completed { id; accepted } ->
-      tag [ ("id", Json.Str id); ("accepted", Json.Bool accepted) ]
-  | Reply_rejected { id } -> tag [ ("id", Json.Str id) ]
+      field_str buf ",\"id\":" id;
+      Buffer.add_string buf (if accepted then ",\"accepted\":true" else ",\"accepted\":false")
   | Msg_delivered { src; dst } ->
-      tag [ ("src", Json.Num (float_of_int src)); ("dst", Json.Num (float_of_int dst)) ]
+      field_int buf ",\"src\":" src;
+      field_int buf ",\"dst\":" dst
   | Msg_dropped { src; dst; reason } ->
-      tag
-        [
-          ("src", Json.Num (float_of_int src));
-          ("dst", Json.Num (float_of_int dst));
-          ("reason", Json.Str reason);
-        ]
+      field_int buf ",\"src\":" src;
+      field_int buf ",\"dst\":" dst;
+      field_str buf ",\"reason\":" reason
   | Failover { proto; replica; view } ->
-      tag
-        [
-          ("proto", Json.Str proto);
-          ("replica", Json.Num (float_of_int replica));
-          ("view", Json.Num (float_of_int view));
-        ]
+      field_str buf ",\"proto\":" proto;
+      field_int buf ",\"replica\":" replica;
+      field_int buf ",\"view\":" view
   | Repl { proto; kind; detail } ->
-      tag [ ("proto", Json.Str proto); ("kind", Json.Str kind); ("detail", Json.Str detail) ]
-  | Trial { index; seed; lifetime } ->
-      tag
-        [
-          ("index", Json.Num (float_of_int index));
-          ("seed", Json.Num (float_of_int seed));
-          ("lifetime", match lifetime with Some l -> Json.Num l | None -> Json.Null);
-        ]
+      field_str buf ",\"proto\":" proto;
+      field_str buf ",\"kind\":" kind;
+      field_str buf ",\"detail\":" detail
+  | Trial { index; seed; lifetime } -> (
+      field_int buf ",\"index\":" index;
+      field_int buf ",\"seed\":" seed;
+      Buffer.add_string buf ",\"lifetime\":";
+      match lifetime with Some l -> Json.add_num buf l | None -> Buffer.add_string buf "null")
   | Span_finished { id; parent; name; start_time; duration; attrs } ->
-      tag
-        [
-          ("id", Json.Num (float_of_int id));
-          ("parent", match parent with Some p -> Json.Num (float_of_int p) | None -> Json.Null);
-          ("name", Json.Str name);
-          ("start", Json.Num start_time);
-          ("duration", Json.Num duration);
-          ("attrs", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) attrs));
-        ]
+      field_int buf ",\"id\":" id;
+      (match parent with
+      | Some p -> field_int buf ",\"parent\":" p
+      | None -> Buffer.add_string buf ",\"parent\":null");
+      field_str buf ",\"name\":" name;
+      Buffer.add_string buf ",\"start\":";
+      Json.add_num buf start_time;
+      Buffer.add_string buf ",\"duration\":";
+      Json.add_num buf duration;
+      Buffer.add_string buf ",\"attrs\":{";
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          Json.add_string buf k;
+          Buffer.add_char buf ':';
+          Json.add_string buf v)
+        attrs;
+      Buffer.add_char buf '}'
   | Fault { action; target; detail } ->
-      tag
-        [
-          ("action", Json.Str action);
-          ("target", Json.Str target);
-          ("detail", Json.Str detail);
-        ]
+      field_str buf ",\"action\":" action;
+      field_str buf ",\"target\":" target;
+      field_str buf ",\"detail\":" detail
   | Directive { step; strategy; detail } ->
-      tag
-        [
-          ("step", Json.Num (float_of_int step));
-          ("strategy", Json.Str strategy);
-          ("detail", Json.Str detail);
-        ]
-  | Note { label; detail } -> Json.Obj [ ("event", Json.Str label); ("detail", Json.Str detail) ]
+      field_int buf ",\"step\":" step;
+      field_str buf ",\"strategy\":" strategy;
+      field_str buf ",\"detail\":" detail
+  | Note { detail; _ } -> field_str buf ",\"detail\":" detail);
+  Buffer.add_char buf '}'
 
 let of_json json =
   let ( let* ) = Result.bind in

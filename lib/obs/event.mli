@@ -70,8 +70,11 @@ val verbosity : t -> [ `Info | `Debug ]
     and are only counted by default; [`Info] events also land in the
     bounded trace ring. *)
 
-val to_json : t -> Json.t
-(** An object whose ["event"] field is {!label}; {!of_json} inverts it. *)
+val add_jsonl : Buffer.t -> time:float -> t -> unit
+(** Append one trace line (no newline): an object whose ["t"] field is
+    [time] and whose ["event"] field is {!label}, then the constructor's
+    fields. Written straight into the buffer with the {!Json} scalar
+    formatters; {!of_json} of the parsed line inverts it. *)
 
 val of_json : Json.t -> (t, string) result
 

@@ -8,35 +8,68 @@ type t =
 
 (* ---- emitter ---- *)
 
-let add_escaped buf s =
+(* The scalar formatters are shared by [to_string] and the trace-line
+   renderer in [Event], so a JSONL line and a Perfetto export print the
+   same value the same way. Neither goes through [Printf]. *)
+
+let hex_digits = "0123456789abcdef"
+
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* only called on bytes [needs_escape] picked *)
+let add_escaped_char buf c =
+  match c with
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | c ->
+      Buffer.add_string buf "\\u00";
+      Buffer.add_char buf hex_digits.[Char.code c lsr 4];
+      Buffer.add_char buf hex_digits.[Char.code c land 15]
+
+let add_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  (* copy clean runs whole; most strings have nothing to escape *)
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if needs_escape c then begin
+      Buffer.add_substring buf s !start (i - !start);
+      add_escaped_char buf c;
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !start (n - !start);
   Buffer.add_char buf '"'
+
+(* the primitive behind [Printf]'s %g and [string_of_float] *)
+external format_float : string -> float -> string = "caml_format_float"
 
 let add_num buf x =
   if Float.is_integer x && Float.abs x < 1e15 then
-    Buffer.add_string buf (Printf.sprintf "%.0f" x)
+    (* what "%.0f" prints: integral, so exact as an int, bar the sign of
+       zero *)
+    if x = 0.0 && Float.sign_bit x then Buffer.add_string buf "-0"
+    else Buffer.add_string buf (string_of_int (int_of_float x))
   else if Float.is_nan x || Float.abs x = Float.infinity then
     (* JSON has no NaN/inf; null is the least-surprising degradation *)
     Buffer.add_string buf "null"
-  else Buffer.add_string buf (Printf.sprintf "%.12g" x)
+  else Buffer.add_string buf (format_float "%.12g" x)
+
+let int_limit = 1_000_000_000_000_000
+
+let add_int buf i =
+  if i > -int_limit && i < int_limit then Buffer.add_string buf (string_of_int i)
+  else add_num buf (float_of_int i)
 
 let rec add buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Num x -> add_num buf x
-  | Str s -> add_escaped buf s
+  | Str s -> add_string buf s
   | List items ->
       Buffer.add_char buf '[';
       List.iteri
@@ -50,7 +83,7 @@ let rec add buf = function
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
-          add_escaped buf k;
+          add_string buf k;
           Buffer.add_char buf ':';
           add buf v)
         fields;

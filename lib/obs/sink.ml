@@ -66,20 +66,27 @@ let memory ?(capacity = 65536) () =
   (sub, read)
 
 let line ~time ev =
-  match Event.to_json ev with
-  | Json.Obj fields -> Json.to_string (Json.Obj (("t", Json.Num time) :: fields))
-  | other -> Json.to_string other
+  let buf = Buffer.create 128 in
+  Event.add_jsonl buf ~time ev;
+  Buffer.contents buf
 
 let jsonl write ~time ev = write (line ~time ev)
 
-let jsonl_channel oc ~time ev =
-  output_string oc (line ~time ev);
-  output_char oc '\n'
+(* Channel writers render into one buffer per subscriber, reused line to
+   line. *)
+let jsonl_channel oc =
+  let buf = Buffer.create 256 in
+  fun ~time ev ->
+    Buffer.clear buf;
+    Event.add_jsonl buf ~time ev;
+    Buffer.add_char buf '\n';
+    Buffer.output_buffer oc buf
 
 let file path =
   let oc = open_out path in
+  let write = jsonl_channel oc in
   let closed = ref false in
-  let sub ~time ev = if not !closed then jsonl_channel oc ~time ev in
+  let sub ~time ev = if not !closed then write ~time ev in
   let close () =
     if not !closed then begin
       closed := true;
@@ -94,23 +101,43 @@ let file path =
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
-let fnv_feed h s =
+(* A plain loop over a local accumulator, so the Int64 stays unboxed. *)
+let fnv_bytes h bytes len =
   let acc = ref h in
-  String.iter
-    (fun c -> acc := Int64.mul (Int64.logxor !acc (Int64.of_int (Char.code c))) fnv_prime)
-    s;
-  Int64.mul (Int64.logxor !acc 0x0AL) fnv_prime (* trailing '\n' *)
+  for i = 0 to len - 1 do
+    acc :=
+      Int64.mul
+        (Int64.logxor !acc (Int64.of_int (Char.code (Bytes.unsafe_get bytes i))))
+        fnv_prime
+  done;
+  !acc
+
+let fnv_newline h = Int64.mul (Int64.logxor h 0x0AL) fnv_prime
+
+let fnv_line h s =
+  fnv_newline (fnv_bytes h (Bytes.unsafe_of_string s) (String.length s))
 
 let fnv_hex h = Printf.sprintf "%016Lx" h
 
 let digesting () =
   (* FNV-1a over the JSONL rendering of every event, newline included, so
-     the digest equals a hash of the equivalent trace file. *)
+     the digest equals a hash of the equivalent trace file. Each line is
+     rendered into a reused buffer and hashed from a reused copy of its
+     bytes; no per-event string is built. *)
+  let buf = Buffer.create 256 in
+  let bytes = ref (Bytes.create 256) in
   let h = ref fnv_offset in
-  let sub ~time ev = h := fnv_feed !h (line ~time ev) in
+  let sub ~time ev =
+    Buffer.clear buf;
+    Event.add_jsonl buf ~time ev;
+    let len = Buffer.length buf in
+    if Bytes.length !bytes < len then bytes := Bytes.create (2 * len);
+    Buffer.blit buf 0 !bytes 0 len;
+    h := fnv_newline (fnv_bytes !h !bytes len)
+  in
   (sub, fun () -> fnv_hex !h)
 
-let digest_lines lines = fnv_hex (List.fold_left fnv_feed fnv_offset lines)
+let digest_lines lines = fnv_hex (List.fold_left fnv_line fnv_offset lines)
 
 let buffered ?(capacity = 64) () =
   if capacity <= 0 then invalid_arg "Sink.buffered: capacity must be positive";

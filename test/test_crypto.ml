@@ -84,11 +84,80 @@ let test_hmac_long_key () =
 let test_hmac_verify () =
   let key = "secret" and msg = "hello" in
   let tag = Hmac.mac ~key msg in
-  Alcotest.(check bool) "valid tag" true (Hmac.verify ~key ~msg ~tag);
-  Alcotest.(check bool) "wrong msg" false (Hmac.verify ~key ~msg:"hellO" ~tag);
-  Alcotest.(check bool) "wrong key" false (Hmac.verify ~key:"Secret" ~msg ~tag);
+  Alcotest.(check bool) "valid tag" true (Hmac.verify_prepared (Hmac.prepare key) ~msg ~tag);
+  Alcotest.(check bool) "wrong msg" false (Hmac.verify_prepared (Hmac.prepare key) ~msg:"hellO" ~tag);
+  Alcotest.(check bool) "wrong key" false (Hmac.verify_prepared (Hmac.prepare "Secret") ~msg ~tag);
   Alcotest.(check bool) "truncated tag" false
-    (Hmac.verify ~key ~msg ~tag:(String.sub tag 0 16))
+    (Hmac.verify_prepared (Hmac.prepare key) ~msg ~tag:(String.sub tag 0 16))
+
+(* ---- prepared keys ---- *)
+
+(* RFC 2104 written out from the one-shot digest: the oracle for the
+   prepared-key midstates. *)
+let textbook_hmac ~key msg =
+  let key = if String.length key > 64 then Sha256.digest key else key in
+  let key = key ^ String.make (64 - String.length key) '\x00' in
+  let pad byte = String.map (fun c -> Char.chr (Char.code c lxor byte)) key in
+  Sha256.digest (pad 0x5c ^ Sha256.digest (pad 0x36 ^ msg))
+
+let prop_prepared_hmac_textbook =
+  let open QCheck in
+  let bytes_of_len len = Gen.(string_size ~gen:char (return len)) in
+  let key_len = Gen.(oneof [ int_range 0 150; oneofl [ 0; 63; 64; 65; 128; 150 ] ]) in
+  let msg_len =
+    Gen.(oneof [ int_range 0 300; oneofl [ 0; 55; 56; 63; 64; 119; 120; 300 ] ])
+  in
+  let gen =
+    Gen.(
+      triple (key_len >>= bytes_of_len) (msg_len >>= bytes_of_len) (msg_len >>= bytes_of_len))
+  in
+  let print (k, m1, m2) =
+    Printf.sprintf "key %d B, messages %d B and %d B" (String.length k) (String.length m1)
+      (String.length m2)
+  in
+  Test.make ~name:"prepared hmac equals textbook" ~count:400 (make ~print gen)
+    (fun (key, m1, m2) ->
+      let prepared = Hmac.prepare key in
+      (* two messages under one prepared key: using it must not move it *)
+      Hmac.mac_prepared prepared m1 = textbook_hmac ~key m1
+      && Hmac.mac_prepared prepared m2 = textbook_hmac ~key m2
+      && Hmac.mac_prepared prepared m1 = textbook_hmac ~key m1
+      && Hmac.verify_prepared prepared ~msg:m2 ~tag:(textbook_hmac ~key m2))
+
+let test_sha256_copy_independent () =
+  let ctx = Sha256.init () in
+  Sha256.feed ctx (String.make 70 'x');
+  let twin = Sha256.copy ctx in
+  Sha256.feed twin "tail";
+  Alcotest.(check string) "copy continues the stream"
+    (Sha256.hex (String.make 70 'x' ^ "tail"))
+    (Sha256.to_hex (Sha256.finalize twin));
+  Alcotest.(check string) "original untouched"
+    (Sha256.hex (String.make 70 'x'))
+    (Sha256.to_hex (Sha256.finalize ctx))
+
+let test_sha256_allocation () =
+  (* the compress loop allocates nothing, so a long input costs no more
+     minor words than a one-block one *)
+  let words s =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Sha256.digest s));
+    Gc.minor_words () -. w0
+  in
+  let small = String.make 64 'a' and big = String.make 65536 'a' in
+  ignore (words small);
+  ignore (words big);
+  let extra = words big -. words small in
+  if extra >= 64.0 then
+    Alcotest.failf "64 KiB digest allocates %.0f minor words more than 64 B" extra
+
+let hex_reference raw =
+  String.concat "" (List.init (String.length raw) (fun i -> Printf.sprintf "%02x" (Char.code raw.[i])))
+
+let test_to_hex_all_bytes () =
+  let raw = String.init 256 Char.chr in
+  Alcotest.(check string) "every byte value" (hex_reference raw) (Sha256.to_hex raw);
+  Alcotest.(check string) "empty" "" (Sha256.to_hex "")
 
 (* ---- Sign ---- *)
 
@@ -115,6 +184,24 @@ let test_sign_forgery_rejected () =
     let forged = Sign.forge p in
     Alcotest.(check bool) "forgery rejected" false (Sign.verify pk ~msg:"msg" forged)
   done
+
+let test_sign_prepared_roundtrip () =
+  let p = prng () in
+  let sk1, pk1 = Sign.generate p in
+  let sk2, pk2 = Sign.generate p in
+  let msg = "reply 7 from server 0" in
+  let s1 = Sign.sign sk1 msg in
+  (* the prepared midstates survive use: same tag, verifies every time *)
+  Alcotest.(check bool) "signing is repeatable" true
+    (Sign.equal_signature s1 (Sign.sign sk1 msg));
+  for _ = 1 to 3 do
+    Alcotest.(check bool) "verifies" true (Sign.verify pk1 ~msg s1)
+  done;
+  Alcotest.(check bool) "wrong key's tag rejected" false
+    (Sign.verify pk1 ~msg (Sign.sign sk2 msg));
+  Alcotest.(check bool) "tag checked under the wrong key" false (Sign.verify pk2 ~msg s1);
+  Alcotest.(check bool) "forged tag rejected" false (Sign.verify pk1 ~msg (Sign.forge p));
+  Alcotest.(check bool) "still verifies after rejections" true (Sign.verify pk1 ~msg s1)
 
 let test_sign_public_of_secret () =
   let p = prng () in
@@ -157,7 +244,7 @@ let qcheck_tests =
     Test.make ~name:"sha256 deterministic" ~count:200 string (fun s ->
         Sha256.digest s = Sha256.digest s);
     Test.make ~name:"hmac verify accepts own tag" ~count:200 (pair string string)
-      (fun (key, msg) -> Hmac.verify ~key ~msg ~tag:(Hmac.mac ~key msg));
+      (fun (key, msg) -> Hmac.verify_prepared (Hmac.prepare key) ~msg ~tag:(Hmac.mac ~key msg));
     Test.make ~name:"hmac differs per key" ~count:200 (triple string string string)
       (fun (k1, k2, msg) ->
         (* RFC 2104 pads short keys with zero bytes, so keys differing only
@@ -169,6 +256,7 @@ let qcheck_tests =
         assume (normalize k1 <> normalize k2);
         (* collision would be a catastrophic HMAC break *)
         Hmac.mac ~key:k1 msg <> Hmac.mac ~key:k2 msg);
+    prop_prepared_hmac_textbook;
   ]
 
 let () =
@@ -184,6 +272,9 @@ let () =
           Alcotest.test_case "streaming across blocks" `Quick test_sha256_streaming_across_blocks;
           Alcotest.test_case "finalize once" `Quick test_sha256_finalize_once;
           Alcotest.test_case "padding boundaries" `Quick test_sha256_length_55_56_57;
+          Alcotest.test_case "copy is independent" `Quick test_sha256_copy_independent;
+          Alcotest.test_case "allocation flat in length" `Quick test_sha256_allocation;
+          Alcotest.test_case "to_hex every byte" `Quick test_to_hex_all_bytes;
         ] );
       ( "hmac",
         [
@@ -198,6 +289,7 @@ let () =
           Alcotest.test_case "sign/verify round-trip" `Quick test_sign_roundtrip;
           Alcotest.test_case "cross-key rejection" `Quick test_sign_cross_key_rejection;
           Alcotest.test_case "forgery rejected" `Quick test_sign_forgery_rejected;
+          Alcotest.test_case "prepared-key round trip" `Quick test_sign_prepared_roundtrip;
           Alcotest.test_case "public_of_secret" `Quick test_sign_public_of_secret;
           Alcotest.test_case "distinct keys" `Quick test_sign_distinct_keys;
         ] );

@@ -158,8 +158,8 @@ let all_events =
 let test_event_json_roundtrip () =
   List.iter
     (fun ev ->
-      match Event.of_json (Event.to_json ev) with
-      | Ok ev' ->
+      match Sink.parse_line (Sink.line ~time:0.0 ev) with
+      | Ok (_, ev') ->
           Alcotest.(check bool)
             (Printf.sprintf "round-trips %s" (Event.label ev))
             true (ev = ev')
@@ -188,6 +188,251 @@ let test_event_labels_and_verbosity () =
     (fun ev ->
       Alcotest.(check bool) (Event.label ev ^ " is info") true (Event.verbosity ev = `Info))
     [ Event.Rekey { nodes = 3 }; Event.Compromise { tier = Event.Server_tier; index = 0 } ]
+
+(* ---- trace-line renderer ---- *)
+
+(* The Printf-based emitter the direct renderer replaced, kept here as the
+   oracle: every byte of a trace line must still come out as it did. *)
+module Printf_json = struct
+  let add_escaped buf s =
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+
+  let num x =
+    if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+    else if Float.is_nan x || Float.abs x = Float.infinity then "null"
+    else Printf.sprintf "%.12g" x
+
+  let rec add buf = function
+    | Json.Null -> Buffer.add_string buf "null"
+    | Json.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Json.Num x -> Buffer.add_string buf (num x)
+    | Json.Str s -> add_escaped buf s
+    | Json.List items ->
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i item ->
+            if i > 0 then Buffer.add_char buf ',';
+            add buf item)
+          items;
+        Buffer.add_char buf ']'
+    | Json.Obj fields ->
+        Buffer.add_char buf '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_char buf ',';
+            add_escaped buf k;
+            Buffer.add_char buf ':';
+            add buf v)
+          fields;
+        Buffer.add_char buf '}'
+
+  let to_string v =
+    let buf = Buffer.create 256 in
+    add buf v;
+    Buffer.contents buf
+end
+
+(* The tree the trace format was first defined by: ["t"], then ["event"],
+   then the constructor's fields. *)
+let reference_tree ~time ev =
+  let n i = Json.Num (float_of_int i) and s x = Json.Str x in
+  let fields =
+    match ev with
+    | Event.Probe { kind; tier; target; outcome } ->
+        [
+          ("kind", s (Event.kind_to_string kind));
+          ("tier", s (Event.tier_to_string tier));
+          ("target", n target);
+          ("outcome", s (Event.outcome_to_string outcome));
+        ]
+    | Event.Compromise { tier; index } ->
+        [ ("tier", s (Event.tier_to_string tier)); ("index", n index) ]
+    | Event.Rekey { nodes } | Event.Recover { nodes } -> [ ("nodes", n nodes) ]
+    | Event.Step { n = k } -> [ ("n", n k) ]
+    | Event.Invalid_observed { proxy } -> [ ("proxy", n proxy) ]
+    | Event.Source_blocked { proxy; source } -> [ ("proxy", n proxy); ("source", n source) ]
+    | Event.Source_rotated { burned } -> [ ("burned", n burned) ]
+    | Event.Request_submitted { id } | Event.Reply_rejected { id } -> [ ("id", s id) ]
+    | Event.Request_completed { id; accepted } -> [ ("id", s id); ("accepted", Json.Bool accepted) ]
+    | Event.Msg_delivered { src; dst } -> [ ("src", n src); ("dst", n dst) ]
+    | Event.Msg_dropped { src; dst; reason } ->
+        [ ("src", n src); ("dst", n dst); ("reason", s reason) ]
+    | Event.Failover { proto; replica; view } ->
+        [ ("proto", s proto); ("replica", n replica); ("view", n view) ]
+    | Event.Repl { proto; kind; detail } ->
+        [ ("proto", s proto); ("kind", s kind); ("detail", s detail) ]
+    | Event.Trial { index; seed; lifetime } ->
+        [
+          ("index", n index);
+          ("seed", n seed);
+          ("lifetime", match lifetime with Some l -> Json.Num l | None -> Json.Null);
+        ]
+    | Event.Span_finished { id; parent; name; start_time; duration; attrs } ->
+        [
+          ("id", n id);
+          ("parent", match parent with Some p -> n p | None -> Json.Null);
+          ("name", s name);
+          ("start", Json.Num start_time);
+          ("duration", Json.Num duration);
+          ("attrs", Json.Obj (List.map (fun (k, v) -> (k, s v)) attrs));
+        ]
+    | Event.Fault { action; target; detail } ->
+        [ ("action", s action); ("target", s target); ("detail", s detail) ]
+    | Event.Directive { step; strategy; detail } ->
+        [ ("step", n step); ("strategy", s strategy); ("detail", s detail) ]
+    | Event.Note { detail; _ } -> [ ("detail", s detail) ]
+  in
+  Json.Obj (("t", Json.Num time) :: ("event", s (Event.label ev)) :: fields)
+
+let test_json_scalar_edge_cases () =
+  let num x = Json.to_string (Json.Num x) in
+  List.iter
+    (fun (x, expected) ->
+      Alcotest.(check string) (Printf.sprintf "%h pinned" x) expected (num x);
+      Alcotest.(check string) (Printf.sprintf "%h as Printf" x) (Printf_json.num x) (num x))
+    [
+      (-0.0, "-0");
+      (0.0, "0");
+      (1e15 -. 1.0, "999999999999999");
+      (-.(1e15 -. 1.0), "-999999999999999");
+      (1e15, "1e+15");
+      (-1e15, "-1e+15");
+      (0.1, "0.1");
+      (-2.5, "-2.5");
+      (1.0 /. 3.0, "0.333333333333");
+      (5e-324, "4.94065645841e-324");
+      (1e300, "1e+300");
+      (Float.nan, "null");
+      (Float.infinity, "null");
+      (Float.neg_infinity, "null");
+      (-42.0, "-42");
+    ];
+  let int i =
+    let buf = Buffer.create 16 in
+    Json.add_int buf i;
+    Buffer.contents buf
+  in
+  List.iter
+    (fun i ->
+      Alcotest.(check string) (Printf.sprintf "int %d" i) (Printf_json.num (float_of_int i)) (int i))
+    [ 0; -1; -42; 999_999_999_999_999; -999_999_999_999_999; 1_000_000_000_000_000;
+      -1_000_000_000_000_000; max_int; min_int ];
+  Alcotest.(check string) "negative int" "-7" (int (-7));
+  let str s = Json.to_string (Json.Str s) in
+  let nasty = "q\"b\\n\nr\rt\t\x00\x01\x1f\x7f\xc3\xa9" in
+  Alcotest.(check string) "escapes pinned"
+    ({|"q\"b\\n\nr\rt\t\u0000\u0001\u001f|} ^ "\x7f\xc3\xa9\"")
+    (str nasty);
+  Alcotest.(check string) "escapes as Printf" (Printf_json.to_string (Json.Str nasty)) (str nasty);
+  let doc = Json.Obj [ (nasty, Json.List [ Json.Num (-0.0); Json.Null; Json.Bool true ]) ] in
+  Alcotest.(check string) "tree as Printf" (Printf_json.to_string doc) (Json.to_string doc)
+
+let gen_trace_string =
+  QCheck.Gen.(
+    string_size (int_range 0 12)
+      ~gen:
+        (frequency
+           [
+             (3, oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\x00'; '\x1f'; '\x7f'; '\xc3'; '\xff' ]);
+             (5, printable);
+             (2, char);
+           ]))
+
+let gen_trace_float =
+  QCheck.Gen.(
+    oneof
+      [
+        map float_of_int small_signed_int;
+        oneofl
+          [ 0.0; -0.0; 5e-324; 1e-300; 1e15 -. 1.0; 1e15; -1e15; 1e300; Float.nan;
+            Float.infinity; Float.neg_infinity ];
+        float;
+        float_range (-1e6) 1e6;
+      ])
+
+let gen_trace_int =
+  QCheck.Gen.(
+    oneof
+      [
+        small_signed_int;
+        int;
+        oneofl
+          [ 999_999_999_999_999; 1_000_000_000_000_000; -1_000_000_000_000_000; max_int; min_int ];
+      ])
+
+let gen_trace_event =
+  let open QCheck.Gen in
+  let s = gen_trace_string and i = gen_trace_int and f = gen_trace_float in
+  let tier = oneofl [ Event.Proxy_tier; Event.Server_tier ] in
+  oneof
+    [
+      map4
+        (fun kind tier target outcome -> Event.Probe { kind; tier; target; outcome })
+        (oneofl [ Event.Direct; Event.Indirect; Event.Launchpad ])
+        tier i
+        (oneofl [ Event.Crashed; Event.Intruded; Event.Blocked ]);
+      map2 (fun tier index -> Event.Compromise { tier; index }) tier i;
+      map (fun nodes -> Event.Rekey { nodes }) i;
+      map (fun nodes -> Event.Recover { nodes }) i;
+      map (fun n -> Event.Step { n }) i;
+      map (fun proxy -> Event.Invalid_observed { proxy }) i;
+      map2 (fun proxy source -> Event.Source_blocked { proxy; source }) i i;
+      map (fun burned -> Event.Source_rotated { burned }) i;
+      map (fun id -> Event.Request_submitted { id }) s;
+      map2 (fun id accepted -> Event.Request_completed { id; accepted }) s bool;
+      map (fun id -> Event.Reply_rejected { id }) s;
+      map2 (fun src dst -> Event.Msg_delivered { src; dst }) i i;
+      map3 (fun src dst reason -> Event.Msg_dropped { src; dst; reason }) i i s;
+      map3 (fun proto replica view -> Event.Failover { proto; replica; view }) s i i;
+      map3 (fun proto kind detail -> Event.Repl { proto; kind; detail }) s s s;
+      map3 (fun index seed lifetime -> Event.Trial { index; seed; lifetime }) i i (opt f);
+      map3
+        (fun (id, parent) (name, start_time, duration) attrs ->
+          Event.Span_finished { id; parent; name; start_time; duration; attrs })
+        (pair i (opt i)) (triple s f f)
+        (list_size (int_range 0 3) (pair s s));
+      map3 (fun action target detail -> Event.Fault { action; target; detail }) s s s;
+      map3 (fun step strategy detail -> Event.Directive { step; strategy; detail }) i s s;
+      map2 (fun label detail -> Event.Note { label; detail }) s s;
+    ]
+
+let arb_timed_event =
+  QCheck.make
+    ~print:(fun (time, ev) -> Printf_json.to_string (reference_tree ~time ev))
+    QCheck.Gen.(pair gen_trace_float gen_trace_event)
+
+let prop_renderer_matches_tree =
+  QCheck.Test.make ~count:1000 ~name:"direct renderer equals the Printf tree" arb_timed_event
+    (fun (time, ev) ->
+      let reference = reference_tree ~time ev in
+      let line = Sink.line ~time ev in
+      line = Printf_json.to_string reference && line = Json.to_string reference)
+
+let prop_digesting_matches_lines =
+  QCheck.Test.make ~count:200 ~name:"digesting equals digest_lines over line"
+    (QCheck.list_of_size QCheck.Gen.(int_range 0 40) arb_timed_event)
+    (fun events ->
+      let sub, digest = Sink.digesting () in
+      List.iter (fun (time, ev) -> sub ~time ev) events;
+      digest () = Sink.digest_lines (List.map (fun (time, ev) -> Sink.line ~time ev) events))
+
+let test_digest_lines_pinned () =
+  (* FNV-1a 64 of the empty stream and of "a\n" *)
+  Alcotest.(check string) "empty" "cbf29ce484222325" (Sink.digest_lines []);
+  Alcotest.(check string) "one line" "089bdc07b544e7b2" (Sink.digest_lines [ "a" ])
 
 (* ---- Metrics ---- *)
 
@@ -1145,6 +1390,13 @@ let () =
         [
           Alcotest.test_case "json round-trip" `Quick test_event_json_roundtrip;
           Alcotest.test_case "labels and verbosity" `Quick test_event_labels_and_verbosity;
+        ] );
+      ( "render",
+        [
+          Alcotest.test_case "json scalar edge cases" `Quick test_json_scalar_edge_cases;
+          Alcotest.test_case "digest_lines pinned" `Quick test_digest_lines_pinned;
+          QCheck_alcotest.to_alcotest prop_renderer_matches_tree;
+          QCheck_alcotest.to_alcotest prop_digesting_matches_lines;
         ] );
       ( "metrics",
         [
