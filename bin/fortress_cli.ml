@@ -285,7 +285,6 @@ let simulate_cmd =
   let module Campaign = Fortress_attack.Campaign in
   let module Keyspace = Fortress_defense.Keyspace in
   let module Engine = Fortress_sim.Engine in
-  let module Trace = Fortress_sim.Trace in
   let service_arg =
     let all = List.map fst Fortress_replication.Services.all in
     let doc = Printf.sprintf "Service to replicate: %s." (String.concat " | " all) in
@@ -337,6 +336,17 @@ let simulate_cmd =
               keyspace = Keyspace.of_size chi; seed }
         in
         let engine = Deployment.engine deployment in
+        (* the last [trace_lines] `Info events, oldest first *)
+        let trace_tail =
+          if trace_lines <= 0 then Fun.const []
+          else begin
+            let keep, read = Fortress_obs.Sink.memory ~capacity:trace_lines () in
+            ignore
+              (Fortress_obs.Sink.attach (Engine.sink engine) (fun ~time ev ->
+                   if Fortress_obs.Event.verbosity ev = `Info then keep ~time ev));
+            read
+          end
+        in
         let close_trace =
           match trace_out with
           | None -> Fun.id
@@ -383,7 +393,9 @@ let simulate_cmd =
           (Deployment.proxies deployment);
         if trace_lines > 0 then begin
           print_endline "trace tail:";
-          print_string (Trace.dump ~limit:trace_lines (Engine.trace engine))
+          List.iter
+            (fun (time, ev) -> print_endline (Fortress_obs.Event.text_line ~time ev))
+            (trace_tail ())
         end;
         close_trace ();
         if metrics then print_string (Fortress_obs.Metrics.render (Engine.metrics engine))

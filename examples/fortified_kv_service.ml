@@ -10,7 +10,8 @@
    Run with: dune exec examples/fortified_kv_service.exe *)
 
 module Engine = Fortress_sim.Engine
-module Trace = Fortress_sim.Trace
+module Sink = Fortress_obs.Sink
+module Event = Fortress_obs.Event
 module Deployment = Fortress_core.Deployment
 module Obfuscation = Fortress_core.Obfuscation
 module Proxy = Fortress_core.Proxy
@@ -29,6 +30,11 @@ let () =
       }
   in
   let engine = Deployment.engine deployment in
+  (* the last 12 `Info events, printed at the end *)
+  let keep, last_events = Sink.memory ~capacity:12 () in
+  ignore
+    (Sink.attach (Engine.sink engine) (fun ~time ev ->
+         if Event.verbosity ev = `Info then keep ~time ev));
   let period = 100.0 in
   let sched = Obfuscation.attach deployment ~mode:Obfuscation.PO ~period in
 
@@ -74,4 +80,4 @@ let () =
   Printf.printf "  legit requests served    : %d\n" !served;
 
   print_endline "\nlast trace events:";
-  print_string (Trace.dump ~limit:12 (Engine.trace engine))
+  List.iter (fun (time, ev) -> print_endline (Event.text_line ~time ev)) (last_events ())

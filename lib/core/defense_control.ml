@@ -3,15 +3,17 @@ module Controller = Fortress_defense.Controller
 (* The wiring layer between the deployment-agnostic controller and the two
    concrete stacks. The controller library sits below fortress_core, so it
    steers through an actuator of closures built here; the signal it reads
-   comes from [attach_telemetry ~alarms:false] so that attaching a defender
-   that never acts leaves the event trace byte-identical to an undefended
-   run (the [static] conformance contract). Everything below is written
+   comes from [Engine.attach_telemetry ~alarms:false] so that attaching a
+   defender that never acts leaves the event trace byte-identical to an
+   undefended run (the [static] conformance contract). Everything below is written
    once against [Stack_intf.S]. *)
 
 let attach_stack (type s) (module St : Stack_intf.S with type t = s) ?window ?capacity
     ?params ?(period : float option) (stack : s) strategy =
   let engine = St.engine stack in
-  let _timeline, signal = St.attach_telemetry ?window ?capacity ?params ~alarms:false stack in
+  let _timeline, signal =
+    Fortress_sim.Engine.attach_telemetry ?window ?capacity ?params ~alarms:false engine
+  in
   let defaults : Controller.defaults =
     { rekey_period = St.rekey_period stack; threshold = St.default_threshold stack }
   in

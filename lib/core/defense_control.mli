@@ -3,11 +3,11 @@
     The controller library sits {e below} fortress_core in the dependency
     order, so it never sees a deployment: it acts through an actuator of
     closures built here. Sensing goes through
-    [attach_telemetry ~alarms:false] — the signal plane records alarms for
-    the query API without re-emitting them onto the sink, so attaching a
-    defender whose strategy never acts (notably
-    {!Fortress_defense.Controller.Strategy.static}) leaves the event trace
-    byte-identical to an undefended run. *)
+    [Engine.attach_telemetry ~alarms:false] on the stack's engine — the
+    signal plane records alarms for the query API without re-emitting
+    them onto the sink, so attaching a defender whose strategy never acts
+    (notably {!Fortress_defense.Controller.Strategy.static}) leaves the
+    event trace byte-identical to an undefended run. *)
 
 val attach_stack :
   (module Stack_intf.S with type t = 's) ->
@@ -26,4 +26,4 @@ val attach_stack :
     [Engine.causal_scope "defense.actuate"]. [period] is the controller
     boundary spacing (default: the stack's rekey period, so decisions land
     between obfuscation boundaries). Telemetry options are passed through
-    to {!Stack_intf.S.attach_telemetry}. *)
+    to {!Fortress_sim.Engine.attach_telemetry}. *)

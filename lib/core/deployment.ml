@@ -58,11 +58,6 @@ type t = {
   mutable client_count : int;
 }
 
-(* Draw a key distinct from every key in [avoid]. *)
-let rec fresh_key keyspace prng avoid =
-  let k = Keyspace.random_key keyspace prng in
-  if List.mem k avoid then fresh_key keyspace prng avoid else k
-
 let create cfg =
   if cfg.np < 0 then invalid_arg "Deployment.create: np must be >= 0";
   if cfg.ns < 1 then invalid_arg "Deployment.create: ns must be >= 1";
@@ -91,7 +86,7 @@ let create cfg =
   let proxy_instances =
     Array.init cfg.np (fun _ ->
         let inst = Instance.create cfg.keyspace key_prng in
-        let k = fresh_key cfg.keyspace key_prng !proxy_keys in
+        let k = Keyspace.distinct_key cfg.keyspace key_prng ~avoid:!proxy_keys in
         proxy_keys := k :: !proxy_keys;
         Instance.set_key inst k;
         inst)
@@ -160,8 +155,6 @@ let create cfg =
 
 let config t = t.cfg
 let engine t = t.engine
-let attach_telemetry ?window ?capacity ?alarms ?params t =
-  Engine.attach_telemetry ?window ?capacity ?alarms ?params t.engine
 let network t = t.net
 let nameserver t = t.nameserver
 let record t = t.record
@@ -215,7 +208,7 @@ let rekey t =
   let used = ref [ server_key ] in
   Array.iteri
     (fun i inst ->
-      let k = fresh_key t.cfg.keyspace prng !used in
+      let k = Keyspace.distinct_key t.cfg.keyspace prng ~avoid:!used in
       used := k :: !used;
       if Network.is_up t.net t.proxy_addresses.(i) then Instance.set_key inst k
       else incr missed)

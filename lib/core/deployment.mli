@@ -30,19 +30,6 @@ val create : config -> t
 val config : t -> config
 val engine : t -> Fortress_sim.Engine.t
 
-val attach_telemetry :
-  ?window:float ->
-  ?capacity:int ->
-  ?alarms:bool ->
-  ?params:(Fortress_obs.Signal.kind -> Fortress_obs.Signal.params) ->
-  t ->
-  Fortress_obs.Timeline.t * Fortress_obs.Signal.t
-(** {!Fortress_sim.Engine.attach_telemetry} on this deployment's engine:
-    windowed timeline plus defender signals (invalid-probe rate,
-    blocked-source rate, crash bursts, rekey staleness) over the FORTRESS
-    stack's event plane. Off by default — nothing is observed unless this
-    is called. *)
-
 val network : t -> Message.t Fortress_net.Network.t
 val nameserver : t -> Nameserver.t
 val record : t -> Nameserver.record

@@ -18,9 +18,6 @@ let obf t =
 let name = "fortress"
 let engine t = Deployment.engine t.deployment
 
-let attach_telemetry ?window ?capacity ?alarms ?params t =
-  Deployment.attach_telemetry ?window ?capacity ?alarms ?params t.deployment
-
 let symptoms t = Deployment.symptoms t.deployment
 let rekey_period t = Obfuscation.period (obf t)
 let set_rekey_period t p = Obfuscation.set_period (obf t) p

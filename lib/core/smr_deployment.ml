@@ -54,11 +54,7 @@ let create cfg =
   let instances =
     Array.init cfg.n (fun _ ->
         let inst = Instance.create cfg.keyspace prng in
-        let rec fresh () =
-          let k = Keyspace.random_key cfg.keyspace prng in
-          if List.mem k !used then fresh () else k
-        in
-        let k = fresh () in
+        let k = Keyspace.distinct_key cfg.keyspace prng ~avoid:!used in
         used := k :: !used;
         Instance.set_key inst k;
         inst)
@@ -79,8 +75,6 @@ let create cfg =
   { cfg; engine; net; replicas; instances; addresses; comp = Array.make cfg.n false }
 
 let engine t = t.engine
-let attach_telemetry ?window ?capacity ?alarms ?params t =
-  Engine.attach_telemetry ?window ?capacity ?alarms ?params t.engine
 let network t = t.net
 let replicas t = t.replicas
 let instances t = t.instances
@@ -161,15 +155,10 @@ let cycle_replica t i ~fresh_key =
   Smr.stop replica;
   Network.set_down t.net t.addresses.(i);
   (if fresh_key then
-     let prng = Engine.prng t.engine in
-     let rec fresh () =
-       let k = Keyspace.random_key t.cfg.keyspace prng in
-       let clash =
-         Array.exists (fun inst -> inst != t.instances.(i) && Instance.key inst = k) t.instances
-       in
-       if clash then fresh () else k
-     in
-     Instance.set_key t.instances.(i) (fresh ())
+     let others = List.filteri (fun j _ -> j <> i) (Array.to_list t.instances) in
+     Instance.set_key t.instances.(i)
+       (Keyspace.distinct_key t.cfg.keyspace (Engine.prng t.engine)
+          ~avoid:(List.map Instance.key others))
    else Instance.recover t.instances.(i));
   t.comp.(i) <- false;
   Smr.set_compromised replica false;

@@ -82,15 +82,11 @@ type t = {
   proxy_comp : bool array;
 }
 
-let rec distinct_key ks prng avoid =
-  let k = Keyspace.random_key ks prng in
-  if List.mem k avoid then distinct_key ks prng avoid else k
-
 let diverse_instances ks prng count =
   let used = ref [] in
   Array.init count (fun _ ->
       let inst = Instance.create ks prng in
-      let k = distinct_key ks prng !used in
+      let k = Keyspace.distinct_key ks prng ~avoid:!used in
       used := k :: !used;
       Instance.set_key inst k;
       inst)
@@ -323,7 +319,7 @@ let rekey_proxies t =
   let used = ref [] in
   Array.iteri
     (fun i inst ->
-      let k = distinct_key t.cfg.keyspace prng !used in
+      let k = Keyspace.distinct_key t.cfg.keyspace prng ~avoid:!used in
       used := k :: !used;
       Instance.set_key inst k;
       t.proxy_comp.(i) <- false;
@@ -335,17 +331,10 @@ let cycle_server t i ~fresh_key =
   Smr.stop replica;
   Network.set_down t.net t.server_addresses.(i);
   (if fresh_key then begin
-     let prng = Engine.prng t.engine in
-     let rec fresh () =
-       let k = Keyspace.random_key t.cfg.keyspace prng in
-       let clash =
-         Array.exists
-           (fun inst -> inst != t.server_instances.(i) && Instance.key inst = k)
-           t.server_instances
-       in
-       if clash then fresh () else k
-     in
-     Instance.set_key t.server_instances.(i) (fresh ())
+     let others = List.filteri (fun j _ -> j <> i) (Array.to_list t.server_instances) in
+     Instance.set_key t.server_instances.(i)
+       (Keyspace.distinct_key t.cfg.keyspace (Engine.prng t.engine)
+          ~avoid:(List.map Instance.key others))
    end
    else Instance.recover t.server_instances.(i));
   t.server_comp.(i) <- false;

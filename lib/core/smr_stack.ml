@@ -26,9 +26,6 @@ let sched t =
 let name = "smr"
 let engine t = Smr_deployment.engine t.deployment
 
-let attach_telemetry ?window ?capacity ?alarms ?params t =
-  Smr_deployment.attach_telemetry ?window ?capacity ?alarms ?params t.deployment
-
 let symptoms t = Smr_deployment.symptoms t.deployment
 let rekey_period t = Smr_deployment.schedule_period (sched t)
 let set_rekey_period t p = Smr_deployment.set_schedule_period (sched t) p

@@ -18,8 +18,9 @@
       immediate rekey/recovery boosts. The actuators are plain calls —
       callers that want causal attribution (e.g. {!Defense_control})
       wrap them in [Engine.causal_scope] themselves.
-    - {b telemetry}: the windowed timeline + defender-signal plane over
-      the stack's event stream. *)
+    - {b engine}: the stack's {!Fortress_sim.Engine.t}, whose sink carries
+      the event stream; telemetry attaches there with
+      {!Fortress_sim.Engine.attach_telemetry}. *)
 
 module type S = sig
   type t
@@ -30,14 +31,6 @@ module type S = sig
       "smr"). *)
 
   val engine : t -> Fortress_sim.Engine.t
-
-  val attach_telemetry :
-    ?window:float ->
-    ?capacity:int ->
-    ?alarms:bool ->
-    ?params:(Fortress_obs.Signal.kind -> Fortress_obs.Signal.params) ->
-    t ->
-    Fortress_obs.Timeline.t * Fortress_obs.Signal.t
 
   val symptoms : t -> Symptom.t list
   (** The externally observable symptom surface; pure read (no PRNG, no

@@ -5,7 +5,6 @@ let equal a b = Int64.equal a.prefix b.prefix && Int.equal a.counter b.counter
 let compare a b =
   match Int64.compare a.prefix b.prefix with 0 -> Int.compare a.counter b.counter | c -> c
 
-let hash a = Hashtbl.hash a
 let to_string a = Printf.sprintf "%Lx-%d" a.prefix a.counter
 let pp ppf a = Format.pp_print_string ppf (to_string a)
 

@@ -5,7 +5,6 @@ type t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

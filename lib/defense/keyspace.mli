@@ -23,6 +23,12 @@ val contains : t -> int -> bool
 (** Keys are the integers [0, size). *)
 
 val random_key : t -> Fortress_util.Prng.t -> int
+
+val distinct_key : t -> Fortress_util.Prng.t -> avoid:int list -> int
+(** A key not in [avoid], by rejection: draw with {!random_key}, redraw
+    on a clash. So it consumes exactly the draws of that loop, and never
+    returns if [avoid] covers the whole space. *)
+
 val pax_aslr_32bit : t
 (** The paper's default: 2^16 keys. *)
 

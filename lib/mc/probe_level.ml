@@ -35,11 +35,6 @@ let validate cfg =
   if cfg.kappa < 0.0 || cfg.kappa > 1.0 then invalid_arg "Probe_level: kappa in [0,1]";
   if cfg.np < 1 then invalid_arg "Probe_level: np must be >= 1"
 
-(* Draw a key different from everything in [avoid]. *)
-let rec distinct_key ks prng avoid =
-  let k = Keyspace.random_key ks prng in
-  if List.mem k avoid then distinct_key ks prng avoid else k
-
 (* ---- one-tier systems: a single probe stream tests all replicas ---- *)
 
 (* S0: requests reach all four replicas, so one probe tests four distinct
@@ -51,7 +46,7 @@ let one_tier ~nkeys ~fail_at cfg prng =
   let assign_keys () =
     let avoid = ref [] in
     for i = 0 to nkeys - 1 do
-      let k = distinct_key ks prng !avoid in
+      let k = Keyspace.distinct_key ks prng ~avoid:!avoid in
       avoid := k :: !avoid;
       keys.(i) <- k
     done
@@ -108,7 +103,7 @@ let s2 cfg prng =
     server_key := sk;
     let avoid = ref [ sk ] in
     for j = 0 to cfg.np - 1 do
-      let k = distinct_key ks prng !avoid in
+      let k = Keyspace.distinct_key ks prng ~avoid:!avoid in
       avoid := k :: !avoid;
       proxy_keys.(j) <- k
     done

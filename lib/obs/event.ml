@@ -109,12 +109,14 @@ let detail = function
       Printf.sprintf "strategy %s adapts at step %d boundary: %s" strategy step detail
   | Note { detail; _ } -> detail
 
+let text_line ~time ev = Printf.sprintf "[%10.4f] %-18s %s" time (label ev) (detail ev)
+
 let verbosity = function
   | Probe _ | Invalid_observed _ | Request_submitted _ | Request_completed _ | Reply_rejected _
   | Msg_delivered _ | Msg_dropped _ | Span_finished _ ->
       `Debug
   (* per-message link faults fire at message rate; lifecycle faults
-     (crash/restart/partition/heal/stall) are rare and belong in the ring *)
+     (crash/restart/partition/heal/stall) are rare and belong in a tail *)
   | Fault { action = "drop" | "duplicate" | "reorder" | "corrupt" | "delay"; _ } -> `Debug
   | Fault _ -> `Info
   | Compromise _ | Rekey _ | Recover _ | Step _ | Source_blocked _ | Source_rotated _
@@ -327,5 +329,3 @@ let of_json json =
           in
           Ok (Note { label; detail }))
   | Some _ -> Error "\"event\" field is not a string"
-
-let pp ppf ev = Format.fprintf ppf "%-18s %s" (label ev) (detail ev)

@@ -62,13 +62,17 @@ val label : t -> string
     per-label summary; [Note] events report their embedded label. *)
 
 val detail : t -> string
-(** Human-readable one-line rendering, used when bridging into the legacy
-    {!Fortress_sim.Trace} ring. *)
+(** Human-readable one-line rendering of the constructor's fields. *)
+
+val text_line : time:float -> t -> string
+(** [[%10.4f] %-18s %s] of [time], {!label} and {!detail}, no newline:
+    the line a human-readable trace tail prints per event. *)
 
 val verbosity : t -> [ `Info | `Debug ]
 (** [`Debug] events are high-rate (per probe / per message / per request)
-    and are only counted by default; [`Info] events also land in the
-    bounded trace ring. *)
+    and are only counted by the engine's built-in subscriber; [`Info]
+    events are the rare ones a human-readable trace tail keeps (a
+    {!Sink.memory} fed only [`Info] events). *)
 
 val add_jsonl : Buffer.t -> time:float -> t -> unit
 (** Append one trace line (no newline): an object whose ["t"] field is
@@ -77,5 +81,3 @@ val add_jsonl : Buffer.t -> time:float -> t -> unit
     formatters; {!of_json} of the parsed line inverts it. *)
 
 val of_json : Json.t -> (t, string) result
-
-val pp : Format.formatter -> t -> unit

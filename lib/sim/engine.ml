@@ -12,7 +12,6 @@ type t = {
   mutable seq : int;
   queue : event Heap.t;
   prng : Fortress_util.Prng.t;
-  trace : Trace.t;
   sink : Obs.Sink.t;
   metrics : Obs.Metrics.t;
   spans : Obs.Span.ctx;
@@ -20,30 +19,17 @@ type t = {
   mutable causal : Obs.Causal.t option;
 }
 
-(* Bridge structured events into the legacy trace ring: every event bumps
-   its label counter; only `Info events (bounded rate) occupy ring slots,
-   so per-probe/per-message `Debug noise cannot evict the interesting
-   entries. *)
-let trace_bridge trace ~time ev =
-  Trace.incr trace (Obs.Event.label ev);
-  match Obs.Event.verbosity ev with
-  | `Info -> Trace.record trace ~time ~label:(Obs.Event.label ev) (Obs.Event.detail ev)
-  | `Debug -> ()
-
-let create ?trace ?prng ?sink ?metrics () =
-  let trace = match trace with Some tr -> tr | None -> Trace.create () in
+let create ?prng ?sink ?metrics () =
   let prng = match prng with Some p -> p | None -> Fortress_util.Prng.create ~seed:0 in
   let sink = match sink with Some s -> s | None -> Obs.Sink.create () in
   let metrics = match metrics with Some m -> m | None -> Obs.Metrics.create () in
   ignore (Obs.Sink.attach sink (Obs.Sink.counting metrics));
-  ignore (Obs.Sink.attach sink (trace_bridge trace));
   let t =
     {
       clock = 0.0;
       seq = 0;
       queue = Heap.create ();
       prng;
-      trace;
       sink;
       metrics;
       spans = Obs.Span.create ~now:(fun () -> 0.0) ();
@@ -57,7 +43,6 @@ let create ?trace ?prng ?sink ?metrics () =
 
 let now t = t.clock
 let prng t = t.prng
-let trace t = t.trace
 let sink t = t.sink
 let metrics t = t.metrics
 let spans t = t.spans

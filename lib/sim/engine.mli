@@ -11,7 +11,6 @@ type handle
 (** A scheduled event; may be cancelled before it fires. *)
 
 val create :
-  ?trace:Trace.t ->
   ?prng:Fortress_util.Prng.t ->
   ?sink:Fortress_obs.Sink.t ->
   ?metrics:Fortress_obs.Metrics.t ->
@@ -19,13 +18,13 @@ val create :
   t
 (** [create ()] starts the clock at 0. A shared [prng] (default seed 0) is
     available to components via {!prng}; pass an explicit one to control the
-    seed of a whole execution. The engine owns an observability {!sink}
-    (with a counting subscriber into {!metrics} and a bridge into the
-    legacy {!trace} ring pre-attached) and a virtual-time span context. *)
+    seed of a whole execution. The engine owns an observability {!sink},
+    with a counting subscriber into {!metrics} pre-attached, and a
+    virtual-time span context. Anything that wants the events themselves
+    (a trace tail, a JSONL file) attaches its own subscriber to {!sink}. *)
 
 val now : t -> float
 val prng : t -> Fortress_util.Prng.t
-val trace : t -> Trace.t
 
 val sink : t -> Fortress_obs.Sink.t
 (** Attach further subscribers (JSONL writers, forwarders) here. *)
@@ -105,7 +104,7 @@ val run : ?until:float -> t -> unit
 
 val record : t -> label:string -> string -> unit
 (** Convenience: emit a free-form {!Fortress_obs.Event.Note} at the current
-    time; the trace bridge records it in the ring as before. *)
+    time. *)
 
 val attach_telemetry :
   ?window:float ->

@@ -21,7 +21,7 @@ let test_nameserver_publish_lookup () =
       Alcotest.(check bool) "pb replication" true
         (record.Nameserver.replication = Nameserver.Primary_backup)
   | None -> Alcotest.fail "service missing");
-  Alcotest.(check bool) "unknown service" true (Nameserver.lookup ns "nope" = None);
+  Alcotest.(check bool) "unknown service" true (Option.is_none (Nameserver.lookup ns "nope"));
   Alcotest.(check (list string)) "service list" [ "kv" ] (Nameserver.services ns)
 
 let test_nameserver_client_view_hides_servers () =

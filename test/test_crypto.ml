@@ -215,6 +215,52 @@ let test_sign_distinct_keys () =
   let _, pk2 = Sign.generate p in
   Alcotest.(check bool) "distinct" false (Sign.equal_public pk1 pk2)
 
+(* Keys are plain values: nothing process-wide holds on to them, so a
+   trial's keys are garbage once the trial drops them. A registry that
+   kept each key would pin its two prepared SHA-256 contexts, about 200
+   words a key, so 10,000 keys would leave some two million words alive;
+   the bound allows 2 words a key. *)
+let test_sign_keys_are_collectable () =
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  let p = prng () in
+  for _ = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Sign.generate p))
+  done;
+  let grown = live () - before in
+  if grown >= 20_000 then
+    Alcotest.failf "10,000 dropped keypairs left %d live words behind" grown
+
+(* A keypair carries everything verification needs, so a key made on one
+   domain verifies on any other. *)
+let test_sign_across_domains () =
+  let pool = Fortress_par.Pool.create () in
+  let msg = "reply 3 from proxy 1" in
+  let made_on_main, main_pk = Sign.generate (prng ()) in
+  let worker_key = ref None and worker_verdict = ref false in
+  let main_tag = Sign.sign made_on_main msg in
+  Fortress_par.Pool.run pool
+    ~tasks:
+      [|
+        (fun () ->
+          let sk, pk = Sign.generate (Fortress_util.Prng.create ~seed:7) in
+          worker_key := Some (pk, Sign.sign sk msg);
+          worker_verdict := Sign.verify main_pk ~msg main_tag);
+      |]
+    ~inline:ignore;
+  Fortress_par.Pool.shutdown pool;
+  Alcotest.(check bool) "main-domain key verifies on a worker" true !worker_verdict;
+  match !worker_key with
+  | None -> Alcotest.fail "worker task did not run"
+  | Some (pk, tag) ->
+      Alcotest.(check bool) "worker key verifies on the main domain" true
+        (Sign.verify pk ~msg tag);
+      Alcotest.(check bool) "and rejects another message" false
+        (Sign.verify pk ~msg:"reply 4 from proxy 1" tag)
+
 (* ---- Nonce ---- *)
 
 let test_nonce_unique_within_source () =
@@ -292,6 +338,8 @@ let () =
           Alcotest.test_case "prepared-key round trip" `Quick test_sign_prepared_roundtrip;
           Alcotest.test_case "public_of_secret" `Quick test_sign_public_of_secret;
           Alcotest.test_case "distinct keys" `Quick test_sign_distinct_keys;
+          Alcotest.test_case "dropped keys are collectable" `Quick test_sign_keys_are_collectable;
+          Alcotest.test_case "keys verify across domains" `Quick test_sign_across_domains;
         ] );
       ( "nonce",
         [

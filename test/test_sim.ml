@@ -1,4 +1,16 @@
 open Fortress_sim
+module Sink = Fortress_obs.Sink
+module Event = Fortress_obs.Event
+module Metrics = Fortress_obs.Metrics
+
+(* A trace tail as the CLI keeps one: the last [capacity] `Info events of
+   the engine's sink. *)
+let info_tail ?capacity e =
+  let keep, read = Sink.memory ?capacity () in
+  ignore
+    (Sink.attach (Engine.sink e) (fun ~time ev ->
+         if Event.verbosity ev = `Info then keep ~time ev));
+  read
 
 (* ---- Heap ---- *)
 
@@ -186,12 +198,15 @@ let test_engine_zero_delay () =
 
 let test_engine_record_reaches_trace () =
   let e = Engine.create () in
+  let tail = info_tail e in
   ignore (Engine.schedule e ~delay:3.0 (fun () -> Engine.record e ~label:"evt" "hello"));
   Engine.run e;
-  match Fortress_sim.Trace.entries (Engine.trace e) with
-  | [ entry ] ->
-      Alcotest.(check string) "label" "evt" entry.Fortress_sim.Trace.label;
-      Alcotest.(check (float 0.0)) "stamped at fire time" 3.0 entry.Fortress_sim.Trace.time
+  Alcotest.(check int) "counted" 1 (Metrics.find_counter (Engine.metrics e) "events.evt");
+  match tail () with
+  | [ (time, ev) ] ->
+      Alcotest.(check string) "label" "evt" (Event.label ev);
+      Alcotest.(check string) "detail" "hello" (Event.detail ev);
+      Alcotest.(check (float 0.0)) "stamped at fire time" 3.0 time
   | _ -> Alcotest.fail "expected exactly one entry"
 
 let test_engine_run_until_exact_boundary () =
@@ -202,78 +217,75 @@ let test_engine_run_until_exact_boundary () =
   Engine.run ~until:10.0 e;
   Alcotest.(check bool) "boundary event fires" true !fired
 
-(* ---- Trace ---- *)
+(* ---- Trace: the engine's sink, read through Sink.memory and counted
+   into the engine's metrics ---- *)
+
+let note e ~time label detail = Sink.emit (Engine.sink e) ~time (Event.Note { label; detail })
+let details tail = List.map (fun (_, ev) -> Event.detail ev) (tail ())
 
 let test_trace_record () =
-  let tr = Trace.create () in
-  Trace.record tr ~time:1.0 ~label:"a" "first";
-  Trace.record tr ~time:2.0 ~label:"b" "second";
-  Alcotest.(check int) "length" 2 (Trace.length tr);
-  match Trace.entries tr with
-  | [ e1; e2 ] ->
-      Alcotest.(check string) "order" "a" e1.Trace.label;
-      Alcotest.(check string) "order" "b" e2.Trace.label
-  | _ -> Alcotest.fail "expected two entries"
+  let e = Engine.create () in
+  let tail = info_tail e in
+  note e ~time:1.0 "a" "first";
+  Sink.emit (Engine.sink e) ~time:1.5 (Event.Msg_delivered { src = 0; dst = 1 });
+  note e ~time:2.0 "b" "second";
+  match tail () with
+  | [ (_, e1); (_, e2) ] ->
+      Alcotest.(check string) "order" "a" (Event.label e1);
+      Alcotest.(check string) "order" "b" (Event.label e2)
+  | l -> Alcotest.failf "expected the two `Info entries, got %d" (List.length l)
 
 let test_trace_ring_eviction () =
-  let tr = Trace.create ~capacity:3 () in
+  let e = Engine.create () in
+  let tail = info_tail ~capacity:3 e in
   for i = 1 to 5 do
-    Trace.record tr ~time:(float_of_int i) ~label:"t" (string_of_int i)
+    note e ~time:(float_of_int i) "t" (string_of_int i)
   done;
-  Alcotest.(check int) "retained" 3 (Trace.length tr);
-  Alcotest.(check int) "recorded" 5 (Trace.recorded tr);
-  match Trace.entries tr with
-  | [ a; b; c ] ->
-      Alcotest.(check string) "oldest retained" "3" a.Trace.detail;
-      Alcotest.(check string) "newest" "5" c.Trace.detail;
-      ignore b
-  | _ -> Alcotest.fail "expected three entries"
+  Alcotest.(check int) "emitted" 5 (Sink.emitted (Engine.sink e));
+  Alcotest.(check (list string)) "last three retained" [ "3"; "4"; "5" ] (details tail)
 
 let test_trace_counters () =
-  let tr = Trace.create () in
-  Trace.incr tr "probes";
-  Trace.incr tr "probes";
-  Trace.incr tr "crashes";
-  Alcotest.(check int) "probes" 2 (Trace.counter tr "probes");
-  Alcotest.(check int) "missing" 0 (Trace.counter tr "nothing");
-  Alcotest.(check (list (pair string int)))
-    "sorted counters"
-    [ ("crashes", 1); ("probes", 2) ]
-    (Trace.counters tr)
+  let e = Engine.create () in
+  Engine.record e ~label:"probes" "";
+  Engine.record e ~label:"probes" "";
+  Engine.record e ~label:"crashes" "";
+  let count name = Metrics.find_counter (Engine.metrics e) name in
+  Alcotest.(check int) "probes" 2 (count "events.probes");
+  Alcotest.(check int) "crashes" 1 (count "events.crashes");
+  Alcotest.(check int) "missing" 0 (count "events.nothing")
 
 let test_trace_wraparound_ordering () =
   (* after several full wraps, entries still come back oldest first *)
-  let tr = Trace.create ~capacity:4 () in
+  let e = Engine.create () in
+  let tail = info_tail ~capacity:4 e in
   for i = 1 to 11 do
-    Trace.record tr ~time:(float_of_int i) ~label:"w" (string_of_int i)
+    note e ~time:(float_of_int i) "w" (string_of_int i)
   done;
-  Alcotest.(check int) "ring full" 4 (Trace.length tr);
-  let details = List.map (fun e -> e.Trace.detail) (Trace.entries tr) in
   Alcotest.(check (list string)) "oldest-to-newest across the wrap"
-    [ "8"; "9"; "10"; "11" ] details;
-  let times = List.map (fun e -> e.Trace.time) (Trace.entries tr) in
-  Alcotest.(check bool) "times non-decreasing" true
-    (List.sort compare times = times)
+    [ "8"; "9"; "10"; "11" ] (details tail);
+  let times = List.map fst (tail ()) in
+  Alcotest.(check bool) "times non-decreasing" true (List.sort compare times = times)
 
 let test_trace_counters_survive_eviction () =
-  (* the ring forgets, the counters do not *)
-  let tr = Trace.create ~capacity:2 () in
+  (* the tail forgets, the counters do not *)
+  let e = Engine.create () in
+  let tail = info_tail ~capacity:2 e in
   for i = 1 to 50 do
-    Trace.incr tr "probe";
-    Trace.record tr ~time:(float_of_int i) ~label:"probe" "sent"
+    note e ~time:(float_of_int i) "probe" "sent"
   done;
-  Alcotest.(check int) "only capacity entries retained" 2 (Trace.length tr);
-  Alcotest.(check int) "all records counted" 50 (Trace.recorded tr);
-  Alcotest.(check int) "counter unaffected by eviction" 50 (Trace.counter tr "probe")
+  Alcotest.(check int) "only capacity entries retained" 2 (List.length (tail ()));
+  Alcotest.(check int) "all records counted" 50
+    (Metrics.find_counter (Engine.metrics e) "events.probe")
 
 let test_trace_dump_limit () =
-  let tr = Trace.create () in
+  let e = Engine.create () in
+  let tail = info_tail ~capacity:2 e in
   for i = 1 to 10 do
-    Trace.record tr ~time:(float_of_int i) ~label:"x" (string_of_int i)
+    note e ~time:(float_of_int i) "x" (string_of_int i)
   done;
-  let s = Trace.dump ~limit:2 tr in
-  let lines = String.split_on_char '\n' (String.trim s) in
-  Alcotest.(check int) "limited lines" 2 (List.length lines)
+  Alcotest.(check (list string)) "last two lines, fixed layout"
+    [ "[    9.0000] x                  9"; "[   10.0000] x                  10" ]
+    (List.map (fun (time, ev) -> Event.text_line ~time ev) (tail ()))
 
 let () =
   Alcotest.run "fortress_sim"
