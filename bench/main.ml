@@ -623,7 +623,7 @@ let assert_digest ~name ~expected rendered =
          expected)
 
 let a2_expected_digest = "36332ece1ea6a53d"
-let v1_expected_digest = "2b6543a3732f15b0"
+let v1_expected_digest = "9c573d607d1c89d1"
 
 let speedup_rows_json speedup =
   let module J = Fortress_obs.Json in

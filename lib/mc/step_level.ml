@@ -15,27 +15,51 @@ let default =
 let bern = Prng.bernoulli
 
 (* S0 under PO: four diversely keyed replicas, all state reset each step;
-   compromise = two falls in one step. *)
+   compromise = two falls in one step. Every step repeats the same
+   experiment, so the run of quiet steps (no replica falls) before the
+   next eventful one is Geometric(p_event), p_event = 1 - (1-alpha)^4, and
+   costs one draw. At an eventful step the first fallen replica j has P(j)
+   proportional to (1-alpha)^(j-1) alpha (inverse CDF over the cumulative
+   masses); replicas j+1..4 are then plain Bernoulli(alpha), and one more
+   fall compromises. *)
 let s0_po cfg prng =
-  let rec step i =
-    if i > cfg.max_steps then None
-    else begin
-      let falls = ref 0 in
-      for _ = 1 to 4 do
-        if bern prng ~p:cfg.alpha then incr falls
-      done;
-      if !falls >= 2 then Some i else step (i + 1)
-    end
-  in
-  step 1
+  let a = cfg.alpha in
+  if a <= 0.0 || cfg.max_steps < 1 then None
+  else if a >= 1.0 then Some 1
+  else begin
+    let l = Float.log1p (-.a) in
+    (* cdf.(j-1) = P(some replica among 1..j falls) = 1 - (1-alpha)^j *)
+    let cdf = Array.init 4 (fun j -> -.Float.expm1 (float_of_int (j + 1) *. l)) in
+    let p_event = cdf.(3) in
+    let first_fall () =
+      let u = Prng.float prng *. p_event in
+      if u < cdf.(0) then 1 else if u < cdf.(1) then 2 else if u < cdf.(2) then 3 else 4
+    in
+    let rec second_fall k = k <= 4 && (bern prng ~p:a || second_fall (k + 1)) in
+    (* [i] is the first step not yet played *)
+    let rec run i =
+      let quiet = Prng.geometric prng ~p:p_event in
+      if quiet > cfg.max_steps - i then None
+      else begin
+        let e = i + quiet in
+        if second_fall (first_fall () + 1) then Some e
+        else if e = cfg.max_steps then None
+        else run (e + 1)
+      end
+    in
+    run 1
+  end
 
+(* S1 under PO: the shared key falls w.p. alpha each step, so the lifetime
+   is 1 + Geometric(alpha). *)
 let s1_po cfg prng =
-  let rec step i =
-    if i > cfg.max_steps then None
-    else if bern prng ~p:cfg.alpha then Some i
-    else step (i + 1)
-  in
-  step 1
+  let a = cfg.alpha in
+  if a <= 0.0 || cfg.max_steps < 1 then None
+  else if a >= 1.0 then Some 1
+  else begin
+    let quiet = Prng.geometric prng ~p:a in
+    if quiet > cfg.max_steps - 1 then None else Some (quiet + 1)
+  end
 
 (* S2 under PO: per step, draw each proxy's fate and fall instant, the
    indirect attack, and each captured proxy's launch-pad conversion. *)
@@ -118,7 +142,7 @@ let s2_so cfg prng =
   step 1 0 0.0
 
 let sampler system cfg =
-  if cfg.alpha < 0.0 || cfg.alpha > 1.0 then invalid_arg "Step_level: alpha in [0,1]";
+  if not (cfg.alpha >= 0.0 && cfg.alpha <= 1.0) then invalid_arg "Step_level: alpha in [0,1]";
   if cfg.kappa < 0.0 || cfg.kappa > 1.0 then invalid_arg "Step_level: kappa in [0,1]";
   if cfg.np <= 0 then invalid_arg "Step_level: np must be positive";
   match system with

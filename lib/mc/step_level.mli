@@ -2,10 +2,18 @@
 
     These samplers draw the {e events} of each unit time-step explicitly —
     which nodes fall, when within the step a proxy falls, whether its
-    launch pad converts — rather than using the closed-form one-step laws
-    from {!Fortress_model.Systems}. Agreement between the two is therefore
-    a meaningful cross-validation (exercised in the test suite and the
-    validation experiment), not a tautology. *)
+    launch pad converts — from the per-node alpha, rather than using the
+    closed-form one-step laws from {!Fortress_model.Systems}. Agreement
+    between the two is therefore a meaningful cross-validation (exercised
+    against {!Fortress_model.Systems.survival} in the test suite and in
+    the validation experiment), not a tautology.
+
+    Under PO every step repeats the same experiment, so S0PO and S1PO skip
+    quiet steps: one geometric draw covers the run of steps in which no
+    node falls. Eventful steps are still drawn event by event: for S0PO,
+    which replica falls first and then whether any later replica falls
+    too. The lifetime law is unchanged, the random stream is not. S2PO and
+    the SO samplers step one unit time-step at a time. *)
 
 type config = {
   alpha : float;  (** per-node, per-step direct success probability *)

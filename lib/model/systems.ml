@@ -69,14 +69,16 @@ let s1_so ~alpha = Probability.expected_lifetime (so_hazard ~alpha)
    At step i each still-hidden key is uncovered with the without-replacement
    hazard h_i (independently across the four distinct keys); absorption is
    reaching two uncovered keys in total. *)
+let s0_so_step ~alpha i =
+  let h = so_hazard ~alpha i in
+  let q = 1.0 -. h in
+  (* (stay in 0, 0 -> 1, stay in 1) *)
+  (q ** 4.0, 4.0 *. h *. (q ** 3.0), q ** 3.0)
+
 let s0_so ~alpha =
   let step_matrix i =
-    let h = so_hazard ~alpha i in
-    let q = 1.0 -. h in
-    let stay0 = q ** 4.0 in
-    let to1 = 4.0 *. h *. (q ** 3.0) in
+    let stay0, to1, stay1 = s0_so_step ~alpha i in
     let absorb0 = clamp (1.0 -. stay0 -. to1) in
-    let stay1 = q ** 3.0 in
     let absorb1 = clamp (1.0 -. stay1) in
     Matrix.of_rows [| [| stay0; to1; absorb0 |]; [| 0.0; stay1; absorb1 |] |]
   in
@@ -264,3 +266,28 @@ let expected_lifetime ?(launchpad = Remaining) ?(np = 3) system ~alpha ~kappa =
   | S1_PO -> s1_po ~alpha
   | S2_PO -> s2_po ~launchpad ~np ~alpha ~kappa ()
   | S2_SO -> s2_so ~launchpad ~np ~alpha ~kappa ()
+
+(* ---- survival laws ---- *)
+
+let survival system ~alpha ~kappa ~upto =
+  if upto < 0 then invalid_arg "Systems.survival: upto must be >= 0";
+  let constant h = Probability.survival (fun _ -> h) ~upto in
+  match system with
+  | S0_PO -> constant (s0_po_step ~alpha)
+  | S1_PO -> constant (s1_po_step ~alpha)
+  | S2_PO -> constant (s2_po_step ~alpha ~kappa ())
+  | S1_SO -> Probability.survival (so_hazard ~alpha) ~upto
+  | S0_SO ->
+      (* forward propagation of (P(0 keys found), P(1 key found)) *)
+      let s = Array.make (upto + 1) 1.0 in
+      let d0 = ref 1.0 and d1 = ref 0.0 in
+      for k = 1 to upto do
+        let stay0, to1, stay1 = s0_so_step ~alpha k in
+        let n0 = !d0 *. stay0 and n1 = (!d0 *. to1) +. (!d1 *. stay1) in
+        d0 := n0;
+        d1 := n1;
+        s.(k) <- n0 +. n1
+      done;
+      s
+  | S2_SO ->
+      invalid_arg "Systems.survival: S2SO has no exact law (path-dependent server hazard)"

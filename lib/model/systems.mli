@@ -115,3 +115,23 @@ val system_of_string : string -> system option
 val expected_lifetime :
   ?launchpad:launchpad -> ?np:int -> system -> alpha:float -> kappa:float -> float
 (** Dispatch on the system tag; [kappa] is ignored by the 1-tier systems. *)
+
+(** {1 Survival laws} *)
+
+val survival : system -> alpha:float -> kappa:float -> upto:int -> float array
+(** [survival system ~alpha ~kappa ~upto] is the exact survival function
+    of the lifetime T: element k is P(T > k), for k = 0..[upto]. These are
+    the laws the step-level samplers draw from, so they serve as the
+    oracle for distribution tests; summing them gives
+    {!expected_lifetime}.
+    - S0PO, S1PO, S2PO: (1 - h)^k with h the one-step law
+      ({!s0_po_step}, {!s1_po_step}, and {!s2_po_step} at its default
+      launch pad and [np]).
+    - S1SO: the product of (1 - {!so_hazard}) over steps 1..k.
+    - S0SO: the two-state (0 or 1 key found) inhomogeneous chain behind
+      {!s0_so}.
+
+    Raises [Invalid_argument] for S2SO: its server hazard depends on the
+    eliminated mass, which depends on the path (how many proxies were
+    captured when), and {!s2_so} tracks only its expectation, so no exact
+    law is available. Also raises when [upto < 0]. *)

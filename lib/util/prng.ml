@@ -59,12 +59,18 @@ let exponential t ~rate =
   let u = 1.0 -. float t in
   -.log u /. rate
 
+(* Inversion: floor (log u / log (1 - p)) with u in (0, 1]. [log1p] keeps
+   the denominator exact for small p, where [log (1.0 -. p)] rounds 1 - p
+   first; a quotient at or above [max_int] (p below ~1e-17) saturates
+   rather than going through [int_of_float], whose result is unspecified
+   out of range. *)
 let geometric t ~p =
   if not (p > 0.0 && p <= 1.0) then invalid_arg "Prng.geometric: p must be in (0, 1]";
   if p = 1.0 then 0
   else
     let u = 1.0 -. float t in
-    int_of_float (Float.floor (log u /. log (1.0 -. p)))
+    let g = Float.floor (log u /. Float.log1p (-.p)) in
+    if g >= float_of_int max_int then max_int else int_of_float g
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -60,7 +60,13 @@ val exponential : t -> rate:float -> float
 
 val geometric : t -> p:float -> int
 (** [geometric t ~p] returns the number of Bernoulli(p) failures before the
-    first success (support 0, 1, 2, ...). Raises [Invalid_argument] unless
+    first success (support 0, 1, 2, ...), by inversion of one uniform
+    draw. The inversion divides by [log1p (-p)], so small [p] loses no
+    precision. A draw at or beyond [max_int] (possible only for p below
+    about 1e-17) saturates to [max_int]. The uniform has 53 bits, so the
+    tail is resolved only down to probability 2^-53: u = 1 (that
+    probability) returns 0, and the largest finite draw is about
+    37 / p. Raises [Invalid_argument] unless
     [0 < p <= 1]. *)
 
 val shuffle : t -> 'a array -> unit

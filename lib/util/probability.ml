@@ -60,6 +60,9 @@ let expected_lifetime ?(eps = 1e-12) ?(max_steps = 100_000_000) hazard =
   in
   go 1 1.0 0.0
 
-let survival hazard k =
-  let rec go i acc = if i > k then acc else go (i + 1) (acc *. (1.0 -. clamp01 (hazard i))) in
-  go 1 1.0
+let survival hazard ~upto =
+  let s = Array.make (upto + 1) 1.0 in
+  for k = 1 to upto do
+    s.(k) <- s.(k - 1) *. (1.0 -. clamp01 (hazard k))
+  done;
+  s

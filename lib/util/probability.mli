@@ -34,6 +34,6 @@ val geometric_lifetime : float -> float
 (** [geometric_lifetime p] is the closed-form EL = 1/p for a constant
     per-step hazard [p]; [infinity] when [p <= 0]. *)
 
-val survival : (int -> float) -> int -> float
-(** [survival hazard k] is S(k), the probability of surviving the first [k]
-    steps. *)
+val survival : (int -> float) -> upto:int -> float array
+(** [survival hazard ~upto] is the survival function: element k is S(k),
+    the probability of surviving the first k steps, for k = 0..[upto]. *)

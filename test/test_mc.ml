@@ -64,11 +64,113 @@ let test_step_censoring_horizon () =
   let r = Step_level.estimate ~trials:50 ~seed:5 Systems.S1_PO cfg in
   Alcotest.(check int) "all censored at tiny horizon" 50 r.Trial.censored
 
+(* alpha = 0 never compromises and must not consume the stream; alpha = 1
+   compromises in the first step. A NaN alpha is rejected up front. *)
+let test_step_po_edge_alphas () =
+  List.iter
+    (fun system ->
+      let name = Systems.system_to_string system in
+      let prng = Prng.create ~seed:3 in
+      let before = Prng.copy prng in
+      let zero = Step_level.sampler system { Step_level.default with alpha = 0.0 } prng in
+      Alcotest.(check (option int)) (name ^ " alpha=0 censors") None zero;
+      Alcotest.(check int64) (name ^ " alpha=0 draws nothing") (Prng.bits64 before)
+        (Prng.bits64 prng);
+      let one = Step_level.sampler system { Step_level.default with alpha = 1.0 } prng in
+      Alcotest.(check (option int)) (name ^ " alpha=1 falls at once") (Some 1) one;
+      Alcotest.check_raises (name ^ " alpha=nan") (Invalid_argument "Step_level: alpha in [0,1]")
+        (fun () ->
+          ignore (Step_level.sampler system { Step_level.default with alpha = Float.nan } prng)))
+    [ Systems.S0_PO; Systems.S1_PO ]
+
 let test_step_invalid_config () =
   Alcotest.check_raises "alpha range" (Invalid_argument "Step_level: alpha in [0,1]") (fun () ->
       ignore
         (Step_level.sampler Systems.S1_PO { Step_level.default with alpha = 1.5 }
            (Prng.create ~seed:1)))
+
+(* ---- law acceptance ----
+
+   Dvoretzky-Kiefer-Wolfowitz: for n i.i.d. draws from any law F (discrete
+   ones included), P(sup_k |F_n(k) - F(k)| > eps) <= 2 exp(-2 n eps^2).
+   Rejecting above eps = sqrt(ln(2/delta) / 2n) has false-alarm rate at
+   most delta = 1e-6, so a fixed seed does not flake, while a sampler whose
+   CDF is off by more than eps = 0.043 anywhere fails at n = 4000. *)
+
+let dkw_delta = 1e-6
+let dkw_bound n = sqrt (log (2.0 /. dkw_delta) /. (2.0 *. float_of_int n))
+
+(* sup over k = 0..upto of |F_n(k) - F(k)|, with F(k) = 1 - survival.(k).
+   Censored trials count toward F_n at no k, like lifetimes beyond upto. *)
+let sup_distance survival (r : Trial.result) =
+  let sorted = Array.copy r.Trial.lifetimes in
+  Array.sort Float.compare sorted;
+  let n = float_of_int r.Trial.trials in
+  let seen = ref 0 and d = ref 0.0 in
+  Array.iteri
+    (fun k sk ->
+      while !seen < Array.length sorted && sorted.(!seen) <= float_of_int k do
+        incr seen
+      done;
+      d := Float.max !d (Float.abs ((float_of_int !seen /. n) -. (1.0 -. sk))))
+    survival;
+  !d
+
+(* The exact law out to 15 EL: beyond it both CDFs are within e^-15 of 1
+   (PO), or the SO support has ended. *)
+let exact_survival system ~alpha =
+  let kappa = Step_level.default.Step_level.kappa in
+  let el = Systems.expected_lifetime system ~alpha ~kappa in
+  Systems.survival system ~alpha ~kappa ~upto:(int_of_float (Float.ceil (15.0 *. el)))
+
+let law_trials = 4000
+
+let check_law name ~survival r =
+  let d = sup_distance survival r and eps = dkw_bound r.Trial.trials in
+  Alcotest.(check bool) (Printf.sprintf "%s: sup |F_n - F| = %.4f <= %.4f" name d eps) true
+    (d <= eps)
+
+let test_law_step_level () =
+  List.iter
+    (fun system ->
+      List.iter
+        (fun alpha ->
+          let cfg = { Step_level.default with alpha } in
+          let r = Step_level.estimate ~trials:law_trials ~seed:7 system cfg in
+          check_law
+            (Printf.sprintf "step %s alpha=%g" (Systems.system_to_string system) alpha)
+            ~survival:(exact_survival system ~alpha) r)
+        [ 0.2; 1e-3 ])
+    [ Systems.S0_PO; Systems.S1_PO; Systems.S2_PO; Systems.S1_SO; Systems.S0_SO ]
+
+(* At the probe level alpha = omega / chi is emergent: one step of omega
+   guesses without replacement finds a fresh key w.p. exactly omega / chi
+   (PO), and a key that is never re-drawn falls uniformly within chi / omega
+   steps (SO), which is the so_hazard product. *)
+let test_law_probe_level () =
+  let cfg = { Probe_level.default with chi = 256; omega = 8 } in
+  let alpha = Probe_level.alpha_of cfg in
+  List.iter
+    (fun system ->
+      let r = Probe_level.estimate ~trials:law_trials ~seed:7 system cfg in
+      check_law
+        (Printf.sprintf "probe %s chi=256 omega=8" (Systems.system_to_string system))
+        ~survival:(exact_survival system ~alpha) r)
+    [ Systems.S1_SO; Systems.S1_PO ]
+
+(* The checker must have power: a sampler whose every lifetime is one step
+   late is off by P(T = 1) = s0_po_step 0.2 = 0.18 at k = 1. *)
+let test_law_rejects_shifted_sampler () =
+  let alpha = 0.2 in
+  let sampler = Step_level.sampler Systems.S0_PO { Step_level.default with alpha } in
+  let r =
+    Trial.run ~trials:law_trials ~seed:7 ~sampler:(fun prng -> Option.map succ (sampler prng)) ()
+  in
+  let d = sup_distance (exact_survival Systems.S0_PO ~alpha) r in
+  Alcotest.(check bool)
+    (Printf.sprintf "shifted: sup |F_n - F| = %.4f > %.4f" d (dkw_bound law_trials))
+    true
+    (d > dkw_bound law_trials)
 
 (* ---- probe-level ---- *)
 
@@ -171,7 +273,17 @@ let () =
           Alcotest.test_case "kappa=1 worse than s1po" `Slow
             test_step_s2po_kappa_one_worse_than_s1po;
           Alcotest.test_case "censoring horizon" `Quick test_step_censoring_horizon;
+          Alcotest.test_case "PO edge alphas" `Quick test_step_po_edge_alphas;
           Alcotest.test_case "invalid config" `Quick test_step_invalid_config;
+        ] );
+      ( "law",
+        [
+          Alcotest.test_case "step-level samplers follow the exact laws" `Slow
+            test_law_step_level;
+          Alcotest.test_case "probe-level samplers follow the exact laws" `Slow
+            test_law_probe_level;
+          Alcotest.test_case "checker rejects a shifted sampler" `Quick
+            test_law_rejects_shifted_sampler;
         ] );
       ( "probe-level",
         [

@@ -162,6 +162,49 @@ let test_el_geometric_consistency () =
   check_close 1e-6 "S1PO = 1/alpha" (1.0 /. alpha) (Systems.s1_po ~alpha);
   check_close 1e-6 "S0PO = 1/p" (1.0 /. Systems.s0_po_step ~alpha) (Systems.s0_po ~alpha)
 
+(* ---- survival laws ---- *)
+
+let law_systems = List.filter (fun s -> s <> Systems.S2_SO) Systems.all_systems
+
+(* EL = sum over k >= 0 of P(T > k). The sum runs to 40 EL: PO tails are
+   then below e^-40 and SO supports (at most ~1/alpha steps) are covered. *)
+let test_survival_sums_to_el () =
+  let kappa = 0.5 in
+  List.iter
+    (fun system ->
+      List.iter
+        (fun alpha ->
+          let el = Systems.expected_lifetime system ~alpha ~kappa in
+          let upto = int_of_float (Float.ceil (40.0 *. el)) in
+          let s = Systems.survival system ~alpha ~kappa ~upto in
+          let total = Array.fold_left ( +. ) 0.0 s in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s alpha=%g: sum %.12g vs EL %.12g"
+               (Systems.system_to_string system) alpha total el)
+            true
+            (Float.abs (total -. el) /. el < 1e-9))
+        [ 0.3; 0.1; 0.02; 5e-3 ])
+    law_systems
+
+let test_survival_shape () =
+  List.iter
+    (fun system ->
+      let s = Systems.survival system ~alpha:0.05 ~kappa:0.5 ~upto:200 in
+      Alcotest.(check (float 0.0)) "P(T > 0) = 1" 1.0 s.(0);
+      Array.iteri
+        (fun k v ->
+          if k > 0 then
+            Alcotest.(check bool) "non-increasing, in [0, 1]" true (v <= s.(k - 1) && v >= 0.0))
+        s)
+    law_systems;
+  (* SO exhausts the key space: S1SO survives k steps w.p. 1 - k alpha *)
+  let s = Systems.survival Systems.S1_SO ~alpha:0.125 ~kappa:0.5 ~upto:10 in
+  check_close 1e-12 "S1SO linear" 0.625 s.(3);
+  check_close 0.0 "S1SO exhausted" 0.0 s.(8);
+  Alcotest.check_raises "S2SO has no exact law"
+    (Invalid_argument "Systems.survival: S2SO has no exact law (path-dependent server hazard)")
+    (fun () -> ignore (Systems.survival Systems.S2_SO ~alpha:0.05 ~kappa:0.5 ~upto:3))
+
 let test_s1_so_approximation () =
   (* sampling without replacement: the key is uniform over 1/alpha steps of
      exposure, so EL ~ 1/(2 alpha) *)
@@ -387,6 +430,8 @@ let () =
             test_s2_smr_matches_s0po_at_kappa_one;
           Alcotest.test_case "fortified SMR validation" `Quick test_s2_smr_validation;
           Alcotest.test_case "system names round-trip" `Quick test_system_string_roundtrip;
+          Alcotest.test_case "survival sums to EL" `Quick test_survival_sums_to_el;
+          Alcotest.test_case "survival shape" `Quick test_survival_shape;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

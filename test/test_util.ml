@@ -88,6 +88,36 @@ let test_prng_geometric_mean () =
   (* mean of failures-before-success is (1-p)/p = 3 *)
   check_close 0.15 "geometric mean" 3.0 (float_of_int !acc /. float_of_int n)
 
+(* At p = 1e-300 every draw with u < 1 gives a quotient far above max_int
+   and must saturate rather than convert an out-of-range float (or, with
+   log (1 - p) = 0, divide by zero). The only draw that does not saturate
+   is u = 1 (probability 2^-53, from the 53-bit uniform), which gives 0. *)
+let test_prng_geometric_tiny_p () =
+  let p = Prng.create ~seed:23 in
+  for _ = 1 to 1000 do
+    Alcotest.(check int) "saturates" max_int (Prng.geometric p ~p:1e-300)
+  done
+
+(* Mean (1-p)/p ~ 1e9 with sd/mean ~ 1; at n = 200k the sample mean's
+   relative sd is 0.22%, so a 2% tolerance is a 9-sigma bound. *)
+let test_prng_geometric_small_p_mean () =
+  let p = Prng.create ~seed:29 in
+  let n = 200_000 in
+  let acc = ref 0.0 in
+  for _ = 1 to n do
+    acc := !acc +. float_of_int (Prng.geometric p ~p:1e-9)
+  done;
+  let mean = !acc /. float_of_int n in
+  let expected = (1.0 -. 1e-9) /. 1e-9 in
+  Alcotest.(check bool)
+    (Printf.sprintf "mean %.4g within 2%% of %.4g" mean expected)
+    true
+    (Float.abs (mean -. expected) /. expected < 0.02)
+
+let test_prng_geometric_zero_raises () =
+  Alcotest.check_raises "p = 0" (Invalid_argument "Prng.geometric: p must be in (0, 1]")
+    (fun () -> ignore (Prng.geometric (Prng.create ~seed:1) ~p:0.0))
+
 let test_prng_exponential_mean () =
   let p = Prng.create ~seed:19 in
   let n = 50_000 in
@@ -407,7 +437,9 @@ let test_prob_expected_lifetime_mixture () =
 
 let test_prob_survival () =
   let hazard _ = 0.1 in
-  check_close 1e-12 "survival product" (0.9 ** 3.0) (Probability.survival hazard 3)
+  let s = Probability.survival hazard ~upto:3 in
+  Alcotest.(check int) "k = 0..upto" 4 (Array.length s);
+  Array.iteri (fun k v -> check_close 1e-12 "survival product" (0.9 ** float_of_int k) v) s
 
 let test_prob_clamp () =
   check_float "clamp low" 0.0 (Probability.clamp01 (-1.0));
@@ -531,6 +563,9 @@ let () =
           Alcotest.test_case "bernoulli extremes" `Quick test_prng_bernoulli_extremes;
           Alcotest.test_case "bernoulli rate" `Quick test_prng_bernoulli_rate;
           Alcotest.test_case "geometric mean" `Quick test_prng_geometric_mean;
+          Alcotest.test_case "geometric tiny p saturates" `Quick test_prng_geometric_tiny_p;
+          Alcotest.test_case "geometric small p mean" `Quick test_prng_geometric_small_p_mean;
+          Alcotest.test_case "geometric p=0 raises" `Quick test_prng_geometric_zero_raises;
           Alcotest.test_case "exponential mean" `Quick test_prng_exponential_mean;
           Alcotest.test_case "shuffle keeps elements" `Quick test_prng_shuffle_permutation;
           Alcotest.test_case "sample without replacement" `Quick test_prng_sample_without_replacement;
